@@ -81,7 +81,7 @@ vet:
 	$(GO) vet ./...
 
 demo:
-	$(GO) run ./cmd/smore
+	$(GO) run ./cmd/smore train
 
 # serve trains+saves a small model and boots the HTTP serving surface on it.
 # Endpoints: POST /v1/predict, POST /v1/adapt, GET /v1/model, /healthz,
@@ -89,7 +89,7 @@ demo:
 ADDR ?= 127.0.0.1:8080
 MODEL ?= /tmp/smore-model.smore
 serve:
-	$(GO) run ./cmd/smore -save $(MODEL) > /dev/null
+	$(GO) run ./cmd/smore train -save $(MODEL) > /dev/null
 	$(GO) run ./cmd/smore-serve -load $(MODEL) -addr $(ADDR)
 
 # e2e boots smore-serve on a freshly trained bundle and round-trips every

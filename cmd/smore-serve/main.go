@@ -1,5 +1,5 @@
 // Command smore-serve is the long-running HTTP serving surface around a
-// trained SMORE model bundle (written by `smore -save`): batched
+// trained SMORE model bundle (written by `smore train -save`): batched
 // encode→predict, incremental adaptation on unlabeled batches, a streaming
 // adaptation queue, model export, and health/metrics endpoints.
 //
@@ -131,7 +131,7 @@ func startPprof(addr string) {
 
 func main() {
 	var (
-		load         = flag.String("load", "", "model bundle to serve (required; written by smore -save)")
+		load         = flag.String("load", "", "model bundle to serve (required; written by smore train -save)")
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "worker-pool size for encode/predict batches (0 = all cores)")
 		maxBatch     = flag.Int("max-batch", 1024, "maximum windows per request")

@@ -6,9 +6,8 @@
 //	smore stream  replay the target split as an arriving stream of micro-batches
 //	smore ablate  sweep an adaptation-strategy grid × seeds, emit JSON + markdown
 //
-// Invoking smore without a subcommand keeps the historical flat-flag CLI
-// working (train/eval/stream selected by -load/-no-adapt/-stream/-ablate)
-// with a deprecation notice on stderr, so existing scripts don't break.
+// Invoked without a command (or with flags but no command) it prints the
+// usage and exits 2.
 package main
 
 import (
@@ -85,8 +84,6 @@ type cliFlags struct {
 	seeds      string
 	outJSON    string
 	outMD      string
-	// legacy only.
-	ablate bool
 }
 
 // dataFlags registers the shared dataset/encoder flag group.
@@ -168,18 +165,19 @@ func (c *cliFlags) startProfiles() func() {
 }
 
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
-		case "train", "eval", "stream", "ablate":
-			runSubcommand(args[0], args[1:])
-			return
-		case "help", "-help", "--help", "-h":
-			usage()
-			return
-		}
+	cmd := ""
+	if len(os.Args) > 1 {
+		cmd = os.Args[1]
 	}
-	runLegacy(args)
+	switch cmd {
+	case "train", "eval", "stream", "ablate":
+		runSubcommand(cmd, os.Args[2:])
+	case "help", "-help", "--help", "-h":
+		usage()
+	default:
+		usage()
+		os.Exit(2)
+	}
 }
 
 func usage() {
@@ -191,8 +189,7 @@ Commands:
   stream   replay the target split as an arriving stream of micro-batches
   ablate   sweep an adaptation-strategy grid × seeds, emit JSON + markdown
 
-Run 'smore <command> -h' for that command's flags. Invoking smore with
-top-level flags (no command) keeps the historical flat CLI working.
+Run 'smore <command> -h' for that command's flags.
 `)
 }
 
@@ -260,49 +257,7 @@ func runSubcommand(name string, args []string) {
 	}
 }
 
-// runLegacy is the historical flat-flag CLI: every knob on the top level,
-// the mode selected by -no-adapt/-stream/-ablate. Kept working (with a
-// stderr deprecation notice) so existing scripts and Makefile targets
-// survive the subcommand restructure.
-func runLegacy(args []string) {
-	c := &cliFlags{}
-	fs := flag.NewFlagSet("smore", flag.ExitOnError)
-	c.dataFlags(fs)
-	c.modelFlags(fs)
-	c.runFlags(fs)
-	fs.StringVar(&c.save, "save", "", "write the trained+adapted model bundle to this file")
-	fs.StringVar(&c.load, "load", "", "load a model bundle instead of training (its encoder/model config overrides the flags; data flags must stay compatible)")
-	fs.BoolVar(&c.noAdapt, "no-adapt", false, "skip adaptation: evaluate and save the source-only model (the starting point for streaming adaptation)")
-	fs.IntVar(&c.streamN, "stream", 0, "replay the target split as an arriving stream with this micro-batch size instead of one-shot adaptation")
-	fs.StringVar(&c.dumpTarget, "dump-target", "", "write the raw target windows and labels to PREFIX.windows.json / PREFIX.labels.json")
-	fs.StringVar(&c.dumpDrift, "dump-drift", "", "write a harsh second-shift drift split (detector-grade; same class signatures) to PREFIX.windows.json / PREFIX.labels.json")
-	fs.BoolVar(&c.ablate, "ablate", false, "run the adaptation-strategy ablation sweep (see 'smore ablate -h' for its dedicated flags)")
-	fs.StringVar(&c.strategies, "strategies", strings.Join(pipeline.DefaultAblateStrategies(), ","),
-		"comma-separated strategy specs for -ablate")
-	fs.StringVar(&c.seeds, "seeds", "42,43", "comma-separated master seeds for -ablate")
-	fs.StringVar(&c.outJSON, "out-json", "", "with -ablate, also write the sweep JSON to this file")
-	fs.StringVar(&c.outMD, "out-md", "", "with -ablate, also write the markdown table to this file")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-	fmt.Fprintln(os.Stderr, "smore: note: the flat CLI is deprecated; prefer 'smore train|eval|stream|ablate' (same flags, grouped per command)")
-	if c.noAdapt && c.streamN > 0 {
-		fmt.Fprintln(os.Stderr, "smore: -no-adapt and -stream are mutually exclusive")
-		os.Exit(2)
-	}
-	stop := c.startProfiles()
-	defer stop()
-	switch {
-	case c.ablate:
-		runAblate(c)
-	case c.noAdapt:
-		runPipeline(c, modeBaseline)
-	case c.streamN > 0:
-		runPipeline(c, modeStream)
-	default:
-		runPipeline(c, modeAdapt)
-	}
-}
-
-// Pipeline run modes shared by the subcommands and the legacy CLI.
+// Pipeline run modes of the train, eval, and stream subcommands.
 const (
 	modeAdapt    = "adapt"    // train/load → baseline eval → adapt → eval
 	modeBaseline = "baseline" // train/load → baseline eval only

@@ -13,7 +13,7 @@
 //     annotated helper — handlers return errors, they do not render them;
 //   - the code field of every httpError literal must be a constant found in
 //     the package's exported ErrorCodes table (non-constant codes, like
-//     uploadModel's errors.Is dispatch, are resolved at their const sources
+//     bundleErrCode's errors.Is dispatch, are resolved at their const sources
 //     by the completeness rule instead);
 //   - every package-level string constant named code* must be registered in
 //     ErrorCodes — adding a code without registering it is a contract break;

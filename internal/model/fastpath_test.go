@@ -30,47 +30,42 @@ func fastpathEnsemble(t testing.TB, classes int) (*Ensemble, []hdc.Vector) {
 func TestScoreIntoMatchesPredict(t *testing.T) {
 	m, hvs := fastpathEnsemble(t, 6)
 	scores := make([]float64, 6)
+	s := m.Snapshot()
 	for _, hv := range hvs {
-		if err := m.ScoreInto(hv, scores); err != nil {
+		if err := s.ScoreInto(hv, scores); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := argmax(scores), m.Predict(hv); got != want {
+		if got, want := argmax(scores), s.Predict(hv); got != want {
 			t.Fatalf("argmax(ScoreInto) = %d, Predict = %d", got, want)
 		}
 	}
 	// After adaptation ScoreInto must switch to the adapted model, exactly
 	// like Predict does.
-	if _, err := m.Adapt(hvs); err != nil {
+	if _, err := m.AdaptBatch(hvs, 0); err != nil {
 		t.Fatal(err)
 	}
+	s = m.Snapshot()
 	for _, hv := range hvs {
-		if err := m.ScoreInto(hv, scores); err != nil {
+		if err := s.ScoreInto(hv, scores); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := argmax(scores), m.Predict(hv); got != want {
+		if got, want := argmax(scores), s.Predict(hv); got != want {
 			t.Fatalf("adapted: argmax(ScoreInto) = %d, Predict = %d", got, want)
 		}
 	}
 }
 
 func TestScoreIntoErrors(t *testing.T) {
-	m, err := New(testModelConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := hdc.New(testDim)
-	if err := m.ScoreInto(q, make([]float64, 4)); err == nil {
-		t.Error("ScoreInto before Train did not error")
-	}
 	trained, _ := fastpathEnsemble(t, 4)
-	if err := trained.ScoreInto(q, make([]float64, 3)); err == nil {
+	s := trained.Snapshot()
+	if err := s.ScoreInto(hdc.New(testDim), make([]float64, 3)); err == nil {
 		t.Error("ScoreInto with a short dst did not error")
 	}
-	if err := trained.ScoreInto(hdc.New(64), make([]float64, 4)); err == nil {
+	if err := s.ScoreInto(hdc.New(64), make([]float64, 4)); err == nil {
 		t.Error("ScoreInto with a mismatched query dimension did not error")
 	}
 	scores := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
-	if err := trained.ScoreInto(trained.domains[0].classProt[0], scores); err != nil {
+	if err := s.ScoreInto(trained.domains[0].classProt[0], scores); err != nil {
 		t.Fatal(err)
 	}
 	for c, s := range scores {
@@ -89,18 +84,20 @@ func TestPredictZeroAllocs(t *testing.T) {
 	}
 	m, hvs := fastpathEnsemble(t, 5)
 	q := hvs[0]
-	m.Predict(q) // warm the pool
-	if allocs := testing.AllocsPerRun(100, func() { m.Predict(q) }); allocs != 0 {
+	s := m.Snapshot()
+	s.Predict(q) // warm the pool
+	if allocs := testing.AllocsPerRun(100, func() { s.Predict(q) }); allocs != 0 {
 		t.Fatalf("source-ensemble Predict allocated %.1f times per run, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { m.PredictSource(q) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { s.PredictSource(q) }); allocs != 0 {
 		t.Fatalf("PredictSource allocated %.1f times per run, want 0", allocs)
 	}
-	if _, err := m.Adapt(hvs); err != nil {
+	if _, err := m.AdaptBatch(hvs, 0); err != nil {
 		t.Fatal(err)
 	}
-	m.Predict(q)
-	if allocs := testing.AllocsPerRun(100, func() { m.Predict(q) }); allocs != 0 {
+	s = m.Snapshot()
+	s.Predict(q)
+	if allocs := testing.AllocsPerRun(100, func() { s.Predict(q) }); allocs != 0 {
 		t.Fatalf("adapted Predict allocated %.1f times per run, want 0", allocs)
 	}
 }
@@ -112,12 +109,13 @@ func TestScoreIntoZeroAllocs(t *testing.T) {
 	}
 	m, hvs := fastpathEnsemble(t, 5)
 	q := hvs[0]
+	s := m.Snapshot()
 	scores := make([]float64, 5)
-	if err := m.ScoreInto(q, scores); err != nil {
+	if err := s.ScoreInto(q, scores); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := m.ScoreInto(q, scores); err != nil {
+		if err := s.ScoreInto(q, scores); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -135,7 +133,7 @@ func BenchmarkScoreInto(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		if err := m.ScoreInto(q, scores); err != nil {
+		if err := m.Snapshot().ScoreInto(q, scores); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,6 +146,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		m.PredictBatch(hvs, 0)
+		m.Snapshot().PredictBatch(hvs, 0)
 	}
 }

@@ -43,7 +43,7 @@ type Config struct {
 	// the labeled data after the initial single-shot bundling.
 	RetrainEpochs int
 
-	// AdaptEpochs is how many passes Adapt makes over the unlabeled
+	// AdaptEpochs is how many passes adaptation makes over the unlabeled
 	// target samples.
 	AdaptEpochs int
 
@@ -160,7 +160,7 @@ func (dm *domainModel) scores(hv hdc.Vector, dst []float64) {
 type targetModel struct {
 	*domainModel
 	name     string
-	folds    int64 // folds applied to this target (Adapt*, AdaptTarget)
+	folds    int64 // folds applied to this target
 	lastFold int64 // ensemble foldClock at the most recent fold; drives LRU retirement
 }
 
@@ -177,11 +177,10 @@ func (t *targetModel) ready() bool { return t.protMat != nil }
 // published Snapshot. Mutators — Train, Adapt*, ReadFrom, WriteTo,
 // SpawnTarget, RetireTarget, Rollback, ResetAdaptation — serialize on an
 // internal mutex, fold into the shadow state, and publish a fresh Snapshot
-// with one atomic pointer swap. Every read path (Predict*, ScoreInto,
-// Adapted, AdaptedPrototypes, Accuracy) goes through the current snapshot
-// and is completely lock-free, so predictions never stall behind an
-// adaptation fold and always see either the state before a fold or after
-// it, never a half-rebuilt prototype.
+// with one atomic pointer swap. Reads go through that snapshot (Snapshot,
+// Adapted, Config) and are completely lock-free, so predictions never stall
+// behind an adaptation fold and always see either the state before a fold
+// or after it, never a half-rebuilt prototype.
 type Ensemble struct {
 	mu      sync.Mutex // serializes mutators; read paths never take it
 	cfg     Config
@@ -189,9 +188,9 @@ type Ensemble struct {
 	domMat  *hdc.Matrix // packed source domain prototypes for domainWeights
 
 	// targets is the set of adapted target domains, in spawn order. active
-	// indexes the fold destination (-1 when none); folds address it, or a
-	// target by name via AdaptTarget. foldClock is the logical clock behind
-	// LRU retirement; spawnSeq numbers auto-generated target names.
+	// indexes the fold destination (-1 when none). foldClock is the logical
+	// clock behind LRU retirement; spawnSeq numbers auto-generated target
+	// names.
 	// checkpoint holds the canonical encoding of the state captured by the
 	// last SpawnTarget/RetireTarget, for Rollback; nil when none exists.
 	targets    []*targetModel
@@ -273,16 +272,6 @@ func (m *Ensemble) activeLocked() *targetModel {
 // are lock-free and safe for any number of concurrent callers; hold it to
 // score a whole batch against one consistent model state.
 func (m *Ensemble) Snapshot() *Snapshot { return m.snap.Load() }
-
-// mustSnapshot is the read-path entry: panics like the historical scoring
-// paths did when the ensemble has never been trained.
-func (m *Ensemble) mustSnapshot() *Snapshot {
-	s := m.snap.Load()
-	if s == nil {
-		panic("model: Predict before Train")
-	}
-	return s
-}
 
 // rebuildDomainMatrix packs the source domain prototypes row-major so
 // domainWeights scores them in one kernel pass. Called whenever the set of
@@ -409,50 +398,6 @@ func (m *Ensemble) domainWeights(hv hdc.Vector) []float64 {
 	return w
 }
 
-// ScoreInto writes the active model's per-class scores for hv into dst
-// through the current snapshot (see Snapshot.ScoreInto). It is lock-free
-// and allocation-free in steady state.
-//
-//smore:hotpath
-func (m *Ensemble) ScoreInto(hv hdc.Vector, dst []float64) error {
-	s := m.snap.Load()
-	if s == nil {
-		return fmt.Errorf("%w: ScoreInto before Train", ErrNotTrained)
-	}
-	return s.ScoreInto(hv, dst)
-}
-
-// Predict classifies hv through the current snapshot. After Adapt has run,
-// the adapted target model is used; otherwise the similarity-weighted
-// source ensemble decides. Lock-free: a concurrent adaptation fold never
-// stalls it, and it sees either the pre-fold or post-fold model.
-//
-//smore:hotpath
-func (m *Ensemble) Predict(hv hdc.Vector) int {
-	return m.mustSnapshot().Predict(hv)
-}
-
-// PredictSource classifies hv with the source ensemble only, ignoring any
-// adapted model. This is the no-adapt baseline.
-func (m *Ensemble) PredictSource(hv hdc.Vector) int {
-	return m.mustSnapshot().PredictSource(hv)
-}
-
-// PredictBatch classifies every query concurrently on a pool of the given
-// worker count (workers <= 0 means GOMAXPROCS). The whole batch is scored
-// against one snapshot, so the output is identical for every worker count
-// and mutually consistent under concurrent adaptation.
-//
-//smore:hotpath
-func (m *Ensemble) PredictBatch(hvs []hdc.Vector, workers int) []int {
-	return m.mustSnapshot().PredictBatch(hvs, workers)
-}
-
-// PredictSourceBatch is PredictBatch against the source ensemble only.
-func (m *Ensemble) PredictSourceBatch(hvs []hdc.Vector, workers int) []int {
-	return m.mustSnapshot().PredictSourceBatch(hvs, workers)
-}
-
 // AdaptStats reports what the adaptation loop did.
 type AdaptStats struct {
 	Epochs       int `json:"epochs"`
@@ -466,13 +411,6 @@ func (s *AdaptStats) Accumulate(o AdaptStats) {
 	s.Epochs += o.Epochs
 	s.PseudoLabels += o.PseudoLabels
 	s.Skipped += o.Skipped
-}
-
-// Adapt runs SMORE's similarity-based adaptation on unlabeled target
-// samples, using all available workers for the scoring passes. It is
-// exactly AdaptBatch(targets, 0).
-func (m *Ensemble) Adapt(targets []hdc.Vector) (AdaptStats, error) {
-	return m.AdaptBatch(targets, 0)
 }
 
 // AdaptBatch runs SMORE's similarity-based adaptation on unlabeled target
@@ -505,29 +443,11 @@ func (m *Ensemble) AdaptIncremental(targets []hdc.Vector, workers int) (AdaptSta
 	return m.adapt(targets, workers, true)
 }
 
+// adapt runs one adaptation fold into the active target, creating the
+// implicit first target on demand.
 func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool) (AdaptStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.adaptLocked(targets, workers, incremental, m.activeLocked())
-}
-
-// AdaptTarget folds one batch of unlabeled target samples into the named
-// target domain (incrementally, like AdaptIncremental) and makes it the
-// active fold destination. The target must exist (spawn it first);
-// addressing an unknown name returns ErrUnknownTarget.
-func (m *Ensemble) AdaptTarget(name string, targets []hdc.Vector, workers int) (AdaptStats, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	tgt := m.findTargetLocked(name)
-	if tgt == nil {
-		return AdaptStats{}, fmt.Errorf("%w: %q", ErrUnknownTarget, name)
-	}
-	return m.adaptLocked(targets, workers, true, tgt)
-}
-
-// adaptLocked runs one adaptation fold into tgt (nil means the implicit
-// first target, created on demand). Callers must hold m.mu.
-func (m *Ensemble) adaptLocked(targets []hdc.Vector, workers int, incremental bool, tgt *targetModel) (AdaptStats, error) {
 	if len(m.domains) == 0 {
 		return AdaptStats{}, fmt.Errorf("%w: Adapt before Train", ErrNotTrained)
 	}
@@ -543,6 +463,7 @@ func (m *Ensemble) adaptLocked(targets []hdc.Vector, workers int, incremental bo
 	cfg := m.cfg
 	strat := m.Strategy() // stratMu nests inside mu, never the reverse
 	pool := parallel.NewPool(workers)
+	tgt := m.activeLocked()
 	if tgt == nil {
 		tgt = m.addTargetLocked("")
 	}
@@ -647,29 +568,11 @@ func (m *Ensemble) adaptLocked(targets []hdc.Vector, workers int, incremental bo
 	tgt.folds++
 	m.foldClock++
 	tgt.lastFold = m.foldClock
-	for i, t := range m.targets {
-		if t == tgt {
-			m.active = i
-			break
-		}
-	}
 	m.publish()
 	return stats, nil
 }
 
-// AdaptedPrototypes returns the binarized class prototypes of the adapted
-// target model from the current snapshot, or nil if Adapt has not run. The
-// vectors are views into the snapshot's immutable packed matrix, so they
-// stay stable no matter how much further adaptation runs.
-func (m *Ensemble) AdaptedPrototypes() []hdc.Vector {
-	s := m.snap.Load()
-	if s == nil {
-		return nil
-	}
-	return s.AdaptedPrototypes()
-}
-
-// Adapted reports whether Adapt has produced a target model.
+// Adapted reports whether adaptation has produced a target model.
 func (m *Ensemble) Adapted() bool {
 	s := m.snap.Load()
 	return s != nil && s.Adapted()
@@ -689,32 +592,6 @@ func (m *Ensemble) ResetAdaptation() {
 	if len(m.domains) > 0 {
 		m.publish()
 	}
-}
-
-// Accuracy scores hvs against labels with Predict.
-func (m *Ensemble) Accuracy(hvs []hdc.Vector, labels []int) float64 {
-	return accuracy(hvs, labels, m.Predict)
-}
-
-// SourceAccuracy scores hvs against labels with PredictSource.
-func (m *Ensemble) SourceAccuracy(hvs []hdc.Vector, labels []int) float64 {
-	return accuracy(hvs, labels, m.PredictSource)
-}
-
-func accuracy(hvs []hdc.Vector, labels []int, predict func(hdc.Vector) int) float64 {
-	if len(hvs) != len(labels) {
-		panic("model: hvs and labels length mismatch")
-	}
-	if len(hvs) == 0 {
-		return 0
-	}
-	hits := 0
-	for i, hv := range hvs {
-		if predict(hv) == labels[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(hvs))
 }
 
 // rank maps a score to a total order for argmax/top2: NaN ranks with -Inf,

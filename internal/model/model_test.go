@@ -97,13 +97,19 @@ func TestTrainPredictSeparableClusters(t *testing.T) {
 	for i, s := range samples {
 		hvs[i], labels[i] = s.HV, s.Class
 	}
-	if acc := m.Accuracy(hvs, labels); acc < 0.95 {
+	hits := 0
+	for i, p := range m.Snapshot().PredictBatch(hvs, 0) {
+		if p == labels[i] {
+			hits++
+		}
+	}
+	if acc := float64(hits) / float64(len(hvs)); acc < 0.95 {
 		t.Fatalf("training accuracy %.3f on separable clusters, want >= 0.95", acc)
 	}
 	// Fresh samples from the same clusters must also classify correctly.
 	protos, _ := cluster(testRNG(1), 4, 1, 0, 0) // same RNG stream ⇒ same prototypes
 	for c, p := range protos {
-		if got := m.Predict(flip(rng, p, testDim/4)); got != c {
+		if got := m.Snapshot().Predict(flip(rng, p, testDim/4)); got != c {
 			t.Fatalf("fresh sample of class %d predicted as %d", c, got)
 		}
 	}
@@ -121,7 +127,7 @@ func TestTrainErrors(t *testing.T) {
 	if err := m.Train(bad); err == nil {
 		t.Error("Train accepted an out-of-range class")
 	}
-	if _, err := m.Adapt([]hdc.Vector{hdc.New(testDim)}); err == nil {
+	if _, err := m.AdaptBatch([]hdc.Vector{hdc.New(testDim)}, 0); err == nil {
 		t.Error("Adapt before Train did not error")
 	}
 }
@@ -134,7 +140,7 @@ func TestAdaptErrorClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Adapt([]hdc.Vector{hdc.New(testDim)})
+	_, err = m.AdaptBatch([]hdc.Vector{hdc.New(testDim)}, 0)
 	if !errors.Is(err, ErrNotTrained) {
 		t.Errorf("Adapt before Train error = %v, want ErrNotTrained", err)
 	}
@@ -147,7 +153,7 @@ func TestAdaptErrorClassification(t *testing.T) {
 	if err := m.Train(samples); err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Adapt(nil)
+	_, err = m.AdaptBatch(nil, 0)
 	if !errors.Is(err, ErrInvalidTargets) {
 		t.Errorf("empty-target Adapt error = %v, want ErrInvalidTargets", err)
 	}
@@ -189,7 +195,7 @@ func TestMultiDomainEnsemble(t *testing.T) {
 	// Queries from each domain must classify correctly through the
 	// similarity-weighted ensemble.
 	for c, p := range protos {
-		if got := m.Predict(flip(rng, p, testDim/4)); got != c {
+		if got := m.Snapshot().Predict(flip(rng, p, testDim/4)); got != c {
 			t.Fatalf("domain-0 query of class %d predicted as %d", c, got)
 		}
 	}
@@ -208,7 +214,7 @@ func TestAdaptMechanics(t *testing.T) {
 	if m.Adapted() {
 		t.Fatal("Adapted() true before Adapt")
 	}
-	if _, err := m.Adapt(nil); err == nil {
+	if _, err := m.AdaptBatch(nil, 0); err == nil {
 		t.Error("Adapt accepted an empty target set")
 	}
 	var targets []hdc.Vector
@@ -217,7 +223,7 @@ func TestAdaptMechanics(t *testing.T) {
 			targets = append(targets, flip(rng, protos[c], testDim/3))
 		}
 	}
-	stats, err := m.Adapt(targets)
+	stats, err := m.AdaptBatch(targets, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +236,7 @@ func TestAdaptMechanics(t *testing.T) {
 	// On an unshifted target the adapted model must retain the class
 	// structure.
 	for c, p := range protos {
-		if got := m.Predict(flip(rng, p, testDim/4)); got != c {
+		if got := m.Snapshot().Predict(flip(rng, p, testDim/4)); got != c {
 			t.Fatalf("adapted model predicts class %d as %d", c, got)
 		}
 	}
@@ -269,7 +275,7 @@ func TestAdaptBatchDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refProt := ref.AdaptedPrototypes()
+	refProt := ref.Snapshot().AdaptedPrototypes()
 	for _, workers := range []int{0, 3, 16} {
 		m, targets := build()
 		stats, err := m.AdaptBatch(targets, workers)
@@ -279,7 +285,7 @@ func TestAdaptBatchDeterministicAcrossWorkers(t *testing.T) {
 		if stats != refStats {
 			t.Fatalf("workers=%d: stats %+v differ from workers=1 %+v", workers, stats, refStats)
 		}
-		prot := m.AdaptedPrototypes()
+		prot := m.Snapshot().AdaptedPrototypes()
 		if len(prot) != len(refProt) {
 			t.Fatalf("workers=%d: %d prototypes, want %d", workers, len(prot), len(refProt))
 		}
@@ -310,19 +316,20 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	for i, s := range samples {
 		hvs[i] = s.HV
 	}
+	snap := m.Snapshot()
 	for _, workers := range []int{1, 4} {
-		for i, pred := range m.PredictBatch(hvs, workers) {
-			if want := m.Predict(hvs[i]); pred != want {
+		for i, pred := range snap.PredictBatch(hvs, workers) {
+			if want := snap.Predict(hvs[i]); pred != want {
 				t.Fatalf("workers=%d: PredictBatch[%d] = %d, Predict = %d", workers, i, pred, want)
 			}
 		}
-		for i, pred := range m.PredictSourceBatch(hvs, workers) {
-			if want := m.PredictSource(hvs[i]); pred != want {
+		for i, pred := range snap.PredictSourceBatch(hvs, workers) {
+			if want := snap.PredictSource(hvs[i]); pred != want {
 				t.Fatalf("workers=%d: PredictSourceBatch[%d] = %d, PredictSource = %d", workers, i, pred, want)
 			}
 		}
 	}
-	if m.AdaptedPrototypes() != nil {
+	if snap.AdaptedPrototypes() != nil {
 		t.Fatal("AdaptedPrototypes non-nil before Adapt")
 	}
 }
@@ -420,7 +427,7 @@ func TestTrainMissingClassExcluded(t *testing.T) {
 	// than out-vote it with noise.
 	for range 20 {
 		q := flip(rng, protos[2], testDim/4)
-		if got := m.Predict(q); got != 2 {
+		if got := m.Snapshot().Predict(q); got != 2 {
 			t.Fatalf("class-2 query predicted as %d (domain without the class out-voted it)", got)
 		}
 	}
@@ -429,13 +436,13 @@ func TestTrainMissingClassExcluded(t *testing.T) {
 	for range 20 {
 		q := flip(rng, protos[3], testDim/4)
 		scores := make([]float64, 4)
-		if err := m.ScoreInto(q, scores); err != nil {
+		if err := m.Snapshot().ScoreInto(q, scores); err != nil {
 			t.Fatal(err)
 		}
 		if !math.IsInf(scores[3], -1) {
 			t.Fatalf("never-trained class scored %v, want -Inf", scores[3])
 		}
-		if got := m.Predict(q); got == 3 {
+		if got := m.Snapshot().Predict(q); got == 3 {
 			t.Fatal("never-trained class was predicted")
 		}
 	}
@@ -472,7 +479,7 @@ func TestAdaptIncremental(t *testing.T) {
 	if _, err := incr.AdaptIncremental(targets2, 1); err != nil {
 		t.Fatal(err)
 	}
-	a, b := batch.AdaptedPrototypes(), incr.AdaptedPrototypes()
+	a, b := batch.Snapshot().AdaptedPrototypes(), incr.Snapshot().AdaptedPrototypes()
 	for c := range a {
 		if !a[c].Equal(b[c]) {
 			t.Fatalf("first AdaptIncremental call diverged from AdaptBatch at class %d", c)
@@ -496,7 +503,7 @@ func TestAdaptIncremental(t *testing.T) {
 		t.Fatal("incremental batch applied no pseudo-labels on separable targets")
 	}
 	for c, p := range protos {
-		if got := incr.Predict(flip(rng, p, testDim/4)); got != c {
+		if got := incr.Snapshot().Predict(flip(rng, p, testDim/4)); got != c {
 			t.Fatalf("after incremental adaptation class %d predicted as %d", c, got)
 		}
 	}
@@ -516,7 +523,7 @@ func BenchmarkSimilaritySearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		m.Predict(query)
+		m.Snapshot().Predict(query)
 	}
 }
 
@@ -539,7 +546,7 @@ func BenchmarkAdapt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := m.Adapt(targets); err != nil {
+		if _, err := m.AdaptBatch(targets, 0); err != nil {
 			b.Fatal(err)
 		}
 		m.ResetAdaptation()

@@ -43,7 +43,7 @@ func trainedEnsemble(t *testing.T, seed uint64, adapt bool) (*Ensemble, []hdc.Ve
 				targets = append(targets, flip(rng, protos[c], testDim/3))
 			}
 		}
-		if _, err := m.Adapt(targets); err != nil {
+		if _, err := m.AdaptBatch(targets, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,10 +86,10 @@ func TestEnsembleRoundTrip(t *testing.T) {
 				t.Fatalf("loaded Adapted() = %v, want %v", got.Adapted(), adapt)
 			}
 			for i, q := range queries {
-				if a, b := m.Predict(q), got.Predict(q); a != b {
+				if a, b := m.Snapshot().Predict(q), got.Snapshot().Predict(q); a != b {
 					t.Fatalf("query %d: original predicts %d, loaded predicts %d", i, a, b)
 				}
-				if a, b := m.PredictSource(q), got.PredictSource(q); a != b {
+				if a, b := m.Snapshot().PredictSource(q), got.Snapshot().PredictSource(q); a != b {
 					t.Fatalf("query %d: source prediction diverged after load: %d vs %d", i, a, b)
 				}
 			}
@@ -118,18 +118,18 @@ func TestResumeAdaptationEquivalence(t *testing.T) {
 			targets = append(targets, flip(rng, protos[c], testDim/3))
 		}
 	}
-	sStats, err := straight.Adapt(targets)
+	sStats, err := straight.AdaptBatch(targets, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lStats, err := loaded.Adapt(targets)
+	lStats, err := loaded.AdaptBatch(targets, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sStats != lStats {
 		t.Fatalf("adaptation stats diverged: straight %+v, resumed %+v", sStats, lStats)
 	}
-	sp, lp := straight.AdaptedPrototypes(), loaded.AdaptedPrototypes()
+	sp, lp := straight.Snapshot().AdaptedPrototypes(), loaded.Snapshot().AdaptedPrototypes()
 	for c := range sp {
 		if !sp[c].Equal(lp[c]) {
 			t.Fatalf("class %d adapted prototype diverged after save→load→Adapt", c)
@@ -183,7 +183,7 @@ func goldenEnsemble(t *testing.T) *Ensemble {
 			targets = append(targets, hv)
 		}
 	}
-	if _, err := m.Adapt(targets); err != nil {
+	if _, err := m.AdaptBatch(targets, 0); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -216,7 +216,7 @@ func TestEnsembleGolden(t *testing.T) {
 	rng := testRNG(0x90)
 	for range 25 {
 		q := hdc.Random(rng, 256)
-		if a, b := fresh.Predict(q), loaded.Predict(q); a != b {
+		if a, b := fresh.Snapshot().Predict(q), loaded.Snapshot().Predict(q); a != b {
 			t.Fatalf("golden-loaded ensemble predicts %d, fresh build predicts %d", b, a)
 		}
 	}

@@ -110,9 +110,6 @@ func (s *Snapshot) Config() Config { return s.cfg }
 // model.
 func (s *Snapshot) Adapted() bool { return len(s.targets) > 0 }
 
-// NumDomains returns the number of source domains.
-func (s *Snapshot) NumDomains() int { return len(s.domains) }
-
 // NumTargets returns the number of initialized adapted target domains.
 func (s *Snapshot) NumTargets() int { return len(s.targets) }
 
@@ -140,57 +137,27 @@ func weightsInto(domMat *hdc.Matrix, hv hdc.Vector, w []float64) {
 	}
 }
 
-// ensembleScoresInto writes per-class scores of hv under the
-// similarity-weighted source ensemble into dst, using sc for intermediate
+// voteInto writes per-class scores of hv under the similarity-weighted vote
+// of doms into dst, weighting each domain by the similarity of hv to its
+// row of mat (the packed domain prototypes) and using sc for intermediate
 // buffers. Each class's score is the weighted mean over the domains that
 // have actually seen the class, so a domain missing a class abstains on it
 // instead of voting noise; a class no domain has seen scores -Inf and can
-// never win.
-func (s *Snapshot) ensembleScoresInto(hv hdc.Vector, dst []float64, sc *scoreScratch) {
-	wsum, scores, weights := sc.wsum, sc.scores, sc.weights
+// never win. The source ensemble and a set of several adapted targets both
+// vote this way. The pooled weights buffer may be longer than doms (it is
+// sized for the larger vote), so only its first len(doms) slots are read.
+func voteInto(mat *hdc.Matrix, doms []snapDomain, hv hdc.Vector, dst []float64, sc *scoreScratch) {
+	wsum, scores, weights := sc.wsum, sc.scores, sc.weights[:len(doms)]
 	for c := range dst {
 		dst[c] = 0
 		wsum[c] = 0
 	}
-	weightsInto(s.domMat, hv, weights)
-	for i := range s.domains {
-		dm := &s.domains[i]
-		dm.scores(hv, scores)
+	weightsInto(mat, hv, weights)
+	for i := range doms {
+		d := &doms[i]
+		d.scores(hv, scores)
 		for c, sv := range scores {
-			if dm.classCount[c] == 0 {
-				continue
-			}
-			dst[c] += weights[i] * sv
-			wsum[c] += weights[i]
-		}
-	}
-	for c := range dst {
-		if wsum[c] == 0 {
-			dst[c] = math.Inf(-1)
-			continue
-		}
-		dst[c] /= wsum[c]
-	}
-}
-
-// targetScoresInto writes per-class scores of hv under the
-// similarity-weighted target ensemble into dst — the same abstaining
-// weighted mean as ensembleScoresInto, but over the adapted target domains
-// with weights from the packed target-prototype matrix. Only called with
-// two or more targets; a single target is scored directly (byte-identical
-// to the historical single-target path).
-func (s *Snapshot) targetScoresInto(hv hdc.Vector, dst []float64, sc *scoreScratch) {
-	wsum, scores, weights := sc.wsum, sc.scores, sc.weights
-	for c := range dst {
-		dst[c] = 0
-		wsum[c] = 0
-	}
-	weightsInto(s.tgtMat, hv, weights[:len(s.targets)])
-	for i := range s.targets {
-		tm := &s.targets[i]
-		tm.scores(hv, scores)
-		for c, sv := range scores {
-			if tm.classCount[c] == 0 {
+			if d.classCount[c] == 0 {
 				continue
 			}
 			dst[c] += weights[i] * sv
@@ -212,6 +179,20 @@ func (s *Snapshot) scratch() *scoreScratch {
 	return s.pool.get(s.cfg.Classes, max(len(s.domains), len(s.targets)))
 }
 
+// scoresInto writes the served per-class scores of hv into dst: a single
+// adapted target's prototype similarities when one exists, the vote over
+// all targets when several do, otherwise the source-ensemble vote.
+func (s *Snapshot) scoresInto(hv hdc.Vector, dst []float64, sc *scoreScratch) {
+	switch {
+	case len(s.targets) == 1:
+		s.targets[0].scores(hv, dst)
+	case len(s.targets) > 1:
+		voteInto(s.tgtMat, s.targets, hv, dst, sc)
+	default:
+		voteInto(s.domMat, s.domains, hv, dst, sc)
+	}
+}
+
 // ScoreInto writes the snapshot's per-class scores for hv into dst, which
 // must hold exactly Config().Classes slots: a single adapted target model's
 // prototype similarities when one exists, the similarity-weighted vote over
@@ -228,16 +209,8 @@ func (s *Snapshot) ScoreInto(hv hdc.Vector, dst []float64) error {
 	if len(dst) != s.cfg.Classes {
 		return fmt.Errorf("%w: dst holds %d scores, want %d", ErrInvalidTargets, len(dst), s.cfg.Classes)
 	}
-	if len(s.targets) == 1 {
-		s.targets[0].scores(hv, dst)
-		return nil
-	}
 	sc := s.scratch()
-	if len(s.targets) > 1 {
-		s.targetScoresInto(hv, dst, sc)
-	} else {
-		s.ensembleScoresInto(hv, dst, sc)
-	}
+	s.scoresInto(hv, dst, sc)
 	s.pool.put(sc)
 	return nil
 }
@@ -249,15 +222,7 @@ func (s *Snapshot) ScoreInto(hv hdc.Vector, dst []float64) error {
 func (s *Snapshot) Predict(hv hdc.Vector) int {
 	sc := s.scratch()
 	defer s.pool.put(sc)
-	switch {
-	case len(s.targets) == 1:
-		s.targets[0].scores(hv, sc.scores)
-		return argmax(sc.scores)
-	case len(s.targets) > 1:
-		s.targetScoresInto(hv, sc.total, sc)
-		return argmax(sc.total)
-	}
-	s.ensembleScoresInto(hv, sc.total, sc)
+	s.scoresInto(hv, sc.total, sc)
 	return argmax(sc.total)
 }
 
@@ -266,7 +231,7 @@ func (s *Snapshot) Predict(hv hdc.Vector) int {
 func (s *Snapshot) PredictSource(hv hdc.Vector) int {
 	sc := s.scratch()
 	defer s.pool.put(sc)
-	s.ensembleScoresInto(hv, sc.total, sc)
+	voteInto(s.domMat, s.domains, hv, sc.total, sc)
 	return argmax(sc.total)
 }
 

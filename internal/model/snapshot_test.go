@@ -63,7 +63,7 @@ func TestSnapshotPublicationIsAtomic(t *testing.T) {
 	expected := make([][]float64, 0, len(batches)+1)
 	record := func(m *Ensemble) {
 		scores := make([]float64, classes)
-		if err := m.ScoreInto(probe, scores); err != nil {
+		if err := m.Snapshot().ScoreInto(probe, scores); err != nil {
 			t.Fatal(err)
 		}
 		expected = append(expected, scores)
@@ -112,7 +112,7 @@ func TestSnapshotPublicationIsAtomic(t *testing.T) {
 					return
 				default:
 				}
-				if err := orig.ScoreInto(probe, scores); err != nil {
+				if err := orig.Snapshot().ScoreInto(probe, scores); err != nil {
 					report(err.Error())
 					return
 				}
@@ -155,7 +155,7 @@ func TestSnapshotPublicationIsAtomic(t *testing.T) {
 	// After the same folds in the same order, the original must sit exactly
 	// on the final version.
 	final := make([]float64, classes)
-	if err := orig.ScoreInto(probe, final); err != nil {
+	if err := orig.Snapshot().ScoreInto(probe, final); err != nil {
 		t.Fatal(err)
 	}
 	for c, want := range expected[len(expected)-1] {
@@ -214,8 +214,8 @@ func TestSnapshotIsImmutableAcrossFolds(t *testing.T) {
 	}
 }
 
-// TestSnapshotNilBeforeTrain pins the untrained contract: Snapshot is nil,
-// ScoreInto errors, and the predict paths panic like they always have.
+// TestSnapshotNilBeforeTrain pins the untrained contract: there is no
+// snapshot to read until Train publishes one.
 func TestSnapshotNilBeforeTrain(t *testing.T) {
 	m, err := New(testModelConfig())
 	if err != nil {
@@ -224,12 +224,6 @@ func TestSnapshotNilBeforeTrain(t *testing.T) {
 	if m.Snapshot() != nil {
 		t.Fatal("untrained ensemble published a snapshot")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Predict before Train did not panic")
-		}
-	}()
-	m.Predict(hdc.New(testDim))
 }
 
 // TestResetAdaptationRepublishes pins that discarding the adapted model is
@@ -239,7 +233,7 @@ func TestResetAdaptationRepublishes(t *testing.T) {
 	orig, _, probe, batches := snapshotFixture(t)
 	classes := orig.Config().Classes
 	sourceScores := make([]float64, classes)
-	if err := orig.ScoreInto(probe, sourceScores); err != nil {
+	if err := orig.Snapshot().ScoreInto(probe, sourceScores); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := orig.AdaptIncremental(batches[0], 1); err != nil {
@@ -254,7 +248,7 @@ func TestResetAdaptationRepublishes(t *testing.T) {
 		t.Fatal("ResetAdaptation did not republish a source-only snapshot")
 	}
 	got := make([]float64, classes)
-	if err := orig.ScoreInto(probe, got); err != nil {
+	if err := orig.Snapshot().ScoreInto(probe, got); err != nil {
 		t.Fatal(err)
 	}
 	for c := range sourceScores {

@@ -114,8 +114,6 @@ func ParseConfidenceRule(name string) (ConfidenceRule, error) {
 	switch name {
 	case "", "margin":
 		return MarginConfidence{}, nil
-	case "entropy":
-		return EntropyConfidence{}, nil
 	case "entropy-cal":
 		return EntropyCalConfidence{}, nil
 	}
@@ -147,7 +145,7 @@ func ParseUpdateRule(name string) (UpdateRule, error) {
 }
 
 // ConfidenceRuleNames lists the registered confidence rules.
-func ConfidenceRuleNames() []string { return []string{"margin", "entropy", "entropy-cal"} }
+func ConfidenceRuleNames() []string { return []string{"margin", "entropy-cal"} }
 
 // ScheduleNames lists the registered schedules.
 func ScheduleNames() []string { return []string{"constant", "anneal"} }
@@ -200,54 +198,13 @@ func (MarginConfidence) Assess(scores []float64) (int, float64, float64) {
 	return best, scores[best] - scores[second], scores[best]
 }
 
-// EntropyConfidence scores a sample by how peaked its class-similarity
-// distribution is: confidence is 1 − H(p)/ln(n) where p normalizes the
-// (1+cos)/2 vote weights over the n classes with finite scores. Near-zero
-// for an uninformative (uniform) score vector and 1 for a one-class field,
-// it lives on a scale comparable to the margin rule's, so the same
-// Config.Confidence threshold remains a sensible knob.
-type EntropyConfidence struct{}
-
-// Name implements ConfidenceRule.
-func (EntropyConfidence) Name() string { return "entropy" }
-
-// Assess implements ConfidenceRule.
-func (EntropyConfidence) Assess(scores []float64) (int, float64, float64) {
-	best := argmax(scores)
-	sum, wlogw := 0.0, 0.0
-	finite := 0
-	for _, s := range scores {
-		// Never-trained classes score -Inf (and poisoned entries NaN);
-		// they carry no probability mass and must not dilute the entropy.
-		if math.IsNaN(s) || math.IsInf(s, -1) {
-			continue
-		}
-		finite++
-		if w := simWeight(s); w > 0 {
-			sum += w
-			wlogw += w * math.Log(w)
-		}
-	}
-	conf := 1.0
-	if finite > 1 && sum > 0 {
-		// H of the normalized weights, computed without materializing p:
-		// H = ln(sum) − Σ w·ln(w) / sum.
-		h := math.Log(sum) - wlogw/sum
-		conf = 1 - h/math.Log(float64(finite))
-		if conf < 0 { // guard float rounding below the H ≤ ln(n) bound
-			conf = 0
-		}
-	}
-	return best, conf, scores[best]
-}
-
-// EntropyCalConfidence is the entropy rule calibrated to the margin
-// threshold scale. The raw entropy rule normalizes (1+cos)/2 vote weights,
-// and on realistic score vectors — cosines clustered in a narrow positive
-// band — those weights are near-uniform, so H sits within rounding of
-// ln(n) and the confidence collapses to ~1e-4: below any usable margin
-// threshold, so almost no pseudo-label is ever accepted. The calibrated
-// rule min-shifts first — weights are s_i − s_min over the classes with
+// EntropyCalConfidence scores a sample by how peaked its class-similarity
+// distribution is, calibrated to the margin threshold scale. Entropy over
+// the raw (1+cos)/2 vote weights is useless here: on realistic score
+// vectors — cosines clustered in a narrow positive band — those weights are
+// near-uniform, so H sits within rounding of ln(n) and the confidence
+// collapses below any usable margin threshold. This rule therefore
+// min-shifts first — weights are s_i − s_min over the classes with
 // finite scores, zeroing the weakest class and spending the entropy budget
 // on the contrast that actually separates the candidates — and then scales
 // the peakedness 1 − H/ln(n) by the score spread s_best − s_min, putting

@@ -39,14 +39,6 @@ func (m *Ensemble) TargetInfos() []TargetInfo {
 	return out
 }
 
-// NumTargets returns how many target domains exist (including pending spawns
-// that have not yet received a fold).
-func (m *Ensemble) NumTargets() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.targets)
-}
-
 // HasCheckpoint reports whether a Rollback has checkpointed state to restore.
 func (m *Ensemble) HasCheckpoint() bool {
 	m.mu.Lock()

@@ -57,7 +57,7 @@ func targetFixture(t *testing.T, seed uint64) (m *Ensemble, queries []hdc.Vector
 func scoresOf(t *testing.T, m *Ensemble, q hdc.Vector) []float64 {
 	t.Helper()
 	out := make([]float64, m.Config().Classes)
-	if err := m.ScoreInto(q, out); err != nil {
+	if err := m.Snapshot().ScoreInto(q, out); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -113,17 +113,48 @@ func TestSpawnFoldVote(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// AdaptTarget re-addresses an older target by name and makes it active.
-	if _, err := m.AdaptTarget("t0", phaseA[1], 2); err != nil {
+// TestSourceVoteIgnoresStaleScratch pins the source vote against scoring
+// scratch left behind by a multi-target vote. With more targets than source
+// domains the pooled weights buffer is longer than the source vote needs;
+// the vote must read only its own slots, so a dirtied scratch and a fresh
+// one give bit-identical scores.
+func TestSourceVoteIgnoresStaleScratch(t *testing.T) {
+	m, queries, phaseA, phaseB := targetFixture(t, 81)
+	if _, err := m.AdaptIncremental(phaseA[0], 2); err != nil {
 		t.Fatal(err)
 	}
-	infos = m.TargetInfos()
-	if !infos[0].Active || infos[0].Folds != 2 {
-		t.Fatalf("AdaptTarget(t0) did not reactivate t0: %+v", infos)
+	for _, batch := range phaseB[:2] {
+		if _, _, err := m.SpawnTarget("", 0, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.AdaptIncremental(batch, 2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := m.AdaptTarget("nope", phaseA[1], 2); !errors.Is(err, ErrUnknownTarget) {
-		t.Fatalf("AdaptTarget(unknown) err = %v, want ErrUnknownTarget", err)
+	s := m.Snapshot()
+	if len(s.targets) != 3 || len(s.domains) != 2 {
+		t.Fatalf("fixture has %d targets over %d sources, want 3 over 2", len(s.targets), len(s.domains))
+	}
+	classes := s.cfg.Classes
+	scratch := func() *scoreScratch {
+		return &scoreScratch{
+			scores:  make([]float64, classes),
+			total:   make([]float64, classes),
+			wsum:    make([]float64, classes),
+			weights: make([]float64, len(s.targets)),
+		}
+	}
+	for i, q := range queries {
+		fresh, dirty := scratch(), scratch()
+		voteInto(s.tgtMat, s.targets, queries[(i+1)%len(queries)], dirty.total, dirty)
+		want, got := make([]float64, classes), make([]float64, classes)
+		voteInto(s.domMat, s.domains, q, want, fresh)
+		voteInto(s.domMat, s.domains, q, got, dirty)
+		if !floatsEqual(got, want) {
+			t.Fatalf("query %d: source vote after a target vote = %v, on fresh scratch = %v", i, got, want)
+		}
 	}
 }
 
@@ -299,7 +330,7 @@ func TestMultiTargetPersistSME3(t *testing.T) {
 		}
 	}
 	for i, q := range queries {
-		if a, b := m.Predict(q), got.Predict(q); a != b {
+		if a, b := m.Snapshot().Predict(q), got.Snapshot().Predict(q); a != b {
 			t.Fatalf("query %d: original predicts %d, loaded predicts %d", i, a, b)
 		}
 	}
@@ -393,7 +424,7 @@ func TestConcurrentPredictsAcrossSpawnFoldRollback(t *testing.T) {
 	var expected [][]float64
 	record := func(e *Ensemble) {
 		scores := make([]float64, classes)
-		if err := e.ScoreInto(probe, scores); err != nil {
+		if err := e.Snapshot().ScoreInto(probe, scores); err != nil {
 			t.Fatal(err)
 		}
 		expected = append(expected, scores)
@@ -435,7 +466,7 @@ func TestConcurrentPredictsAcrossSpawnFoldRollback(t *testing.T) {
 					return
 				default:
 				}
-				if err := m.ScoreInto(probe, scores); err != nil {
+				if err := m.Snapshot().ScoreInto(probe, scores); err != nil {
 					report(err.Error())
 					return
 				}

@@ -28,7 +28,7 @@ type AblateSpec struct {
 func DefaultAblateStrategies() []string {
 	return []string{
 		"margin+constant+bundle",
-		"entropy+constant+bundle",
+		"entropy-cal+constant+bundle",
 		"margin+anneal+bundle",
 		"margin+constant+ema",
 	}

@@ -98,14 +98,14 @@ func TestAblateValidatesSpecs(t *testing.T) {
 func TestTrainAppliesStrategy(t *testing.T) {
 	cfg := ablateConfig()
 	var err error
-	if cfg.Strategy, err = model.ParseStrategySpec("entropy+anneal+ema"); err != nil {
+	if cfg.Strategy, err = model.ParseStrategySpec("entropy-cal+anneal+ema"); err != nil {
 		t.Fatal(err)
 	}
 	art, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := art.Model.Strategy().String(); got != "entropy+anneal+ema" {
-		t.Fatalf("trained model strategy %q, want entropy+anneal+ema", got)
+	if got := art.Model.Strategy().String(); got != "entropy-cal+anneal+ema" {
+		t.Fatalf("trained model strategy %q, want entropy-cal+anneal+ema", got)
 	}
 }

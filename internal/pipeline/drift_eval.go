@@ -151,7 +151,7 @@ func (a *Artifacts) StreamEvaluateDrift(batchSize int, dcfg DriftConfig) (*Drift
 		PhaseA: &StreamResult{
 			BatchSize:      batchSize,
 			Batches:        phaseABatches,
-			TargetBaseline: evalBatch(aHVs, aClasses, a.Model.PredictSourceBatch, workers),
+			TargetBaseline: evalBatch(aHVs, aClasses, a.Model.Snapshot().PredictSourceBatch, workers),
 		},
 		ShiftB:      dcfg.Shift.Name,
 		DriftPolicy: dcfg.Policy.Name(),
@@ -181,11 +181,12 @@ func (a *Artifacts) StreamEvaluateDrift(batchSize int, dcfg DriftConfig) (*Drift
 			if err != nil {
 				return stats, err
 			}
+			predict := a.Model.Snapshot().PredictBatch
 			if folds < phaseABatches {
-				res.PhaseA.Trajectory = append(res.PhaseA.Trajectory, evalBatch(aHVs, aClasses, a.Model.PredictBatch, workers))
+				res.PhaseA.Trajectory = append(res.PhaseA.Trajectory, evalBatch(aHVs, aClasses, predict, workers))
 			} else {
-				res.TrajectoryB = append(res.TrajectoryB, evalBatch(bHVs, bClasses, a.Model.PredictBatch, workers))
-				res.TrajectoryA = append(res.TrajectoryA, evalBatch(aHVs, aClasses, a.Model.PredictBatch, workers))
+				res.TrajectoryB = append(res.TrajectoryB, evalBatch(bHVs, bClasses, predict, workers))
+				res.TrajectoryA = append(res.TrajectoryA, evalBatch(aHVs, aClasses, predict, workers))
 			}
 			folds++
 			// Freeze the post-phase-A model through its own codec right
@@ -238,7 +239,7 @@ func (a *Artifacts) StreamEvaluateDrift(batchSize int, dcfg DriftConfig) (*Drift
 		return nil, fmt.Errorf("pipeline: drift replay folded %d/%d phase batches", len(res.PhaseA.Trajectory), len(res.TrajectoryB))
 	}
 	res.PhaseA.TargetAdapted = res.PhaseA.Trajectory[len(res.PhaseA.Trajectory)-1]
-	res.FrozenBaselineB = evalBatch(bHVs, bClasses, frozen.PredictBatch, workers)
+	res.FrozenBaselineB = evalBatch(bHVs, bClasses, frozen.Snapshot().PredictBatch, workers)
 	res.BatchesB = int(st.BatchesFolded) - phaseABatches
 	res.TargetsSpawned = st.TargetsSpawned
 	res.TargetsRetired = st.TargetsRetired

@@ -197,9 +197,10 @@ func (a *Artifacts) baseline() (*Result, []hdc.Vector, []int, error) {
 		return nil, nil, nil, fmt.Errorf("pipeline: no target samples to adapt to")
 	}
 	workers := a.Config.Workers
+	snap := a.Model.Snapshot()
 	res := &Result{
-		SourceAccuracy: evalBatch(srcHVs, srcClasses, a.Model.PredictSourceBatch, workers),
-		TargetBaseline: evalBatch(tgtHVs, tgtClasses, a.Model.PredictSourceBatch, workers),
+		SourceAccuracy: evalBatch(srcHVs, srcClasses, snap.PredictSourceBatch, workers),
+		TargetBaseline: evalBatch(tgtHVs, tgtClasses, snap.PredictSourceBatch, workers),
 	}
 	return res, tgtHVs, tgtClasses, nil
 }
@@ -218,7 +219,7 @@ func (a *Artifacts) Evaluate() (*Result, error) {
 		return nil, err
 	}
 	res.Adapt = stats
-	res.TargetAdapted = evalBatch(tgtHVs, tgtClasses, a.Model.PredictBatch, workers)
+	res.TargetAdapted = evalBatch(tgtHVs, tgtClasses, a.Model.Snapshot().PredictBatch, workers)
 	return res, nil
 }
 

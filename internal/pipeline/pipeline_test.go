@@ -270,7 +270,7 @@ func TestBundleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range art.Target {
-		if a, g := art.Model.Predict(s.HV), loadedArt.Model.Predict(loadedArt.Target[i].HV); a != g {
+		if a, g := art.Model.Snapshot().Predict(s.HV), loadedArt.Model.Snapshot().Predict(loadedArt.Target[i].HV); a != g {
 			t.Fatalf("target sample %d: original predicts %d, loaded predicts %d", i, a, g)
 		}
 	}

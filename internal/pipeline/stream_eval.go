@@ -45,7 +45,7 @@ func (a *Artifacts) StreamEvaluate(batchSize int) (*StreamResult, error) {
 	workers := a.Config.Workers
 	res := &StreamResult{
 		BatchSize:      batchSize,
-		TargetBaseline: evalBatch(tgtHVs, tgtClasses, a.Model.PredictSourceBatch, workers),
+		TargetBaseline: evalBatch(tgtHVs, tgtClasses, a.Model.Snapshot().PredictSourceBatch, workers),
 	}
 	// The fold callback runs on the adapter's worker goroutine; Close joins
 	// that goroutine before the trajectory is read, so no extra locking is
@@ -60,7 +60,7 @@ func (a *Artifacts) StreamEvaluate(batchSize int) (*StreamResult, error) {
 			if err != nil {
 				return stats, err
 			}
-			res.Trajectory = append(res.Trajectory, evalBatch(tgtHVs, tgtClasses, a.Model.PredictBatch, workers))
+			res.Trajectory = append(res.Trajectory, evalBatch(tgtHVs, tgtClasses, a.Model.Snapshot().PredictBatch, workers))
 			return stats, nil
 		},
 	)

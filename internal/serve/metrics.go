@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -87,187 +88,174 @@ func (m *metrics) stage(name string) func() {
 	}
 }
 
+// metricDesc describes one metric family of the /metrics exposition: its
+// name, HELP text and TYPE, and how to format one series' value from the
+// family's source T (an endpoint's or a stage's counters, the registry
+// totals, or one model's info). label, when set, is an extra label pair
+// appended to each series' labels that splits a family: consecutive
+// descriptors sharing a name render under one header, their series
+// interleaved per source.
+type metricDesc[T any] struct {
+	name, help, typ, label string
+	value                  func(T) string
+}
+
+// series is one source of a family's values and the label pairs that
+// identify it ("" for an unlabelled family).
+type series[T any] struct {
+	labels string
+	src    T
+}
+
+// registryTotals is the source of the unlabelled registry families.
+type registryTotals struct {
+	*metrics
+	models int
+}
+
+var endpointFamilies = []metricDesc[*endpointMetrics]{
+	{"smore_requests_total", "Requests received per endpoint.", "counter", "",
+		func(e *endpointMetrics) string { return count(e.requests.Load()) }},
+	{"smore_request_errors_total", "Requests that returned a non-2xx status.", "counter", "",
+		func(e *endpointMetrics) string { return count(e.errors.Load()) }},
+	{"smore_response_write_errors_total", "Response writes that failed after the status was committed.", "counter", "",
+		func(e *endpointMetrics) string { return count(e.writeErrors.Load()) }},
+	{"smore_request_latency_seconds_total", "Cumulative request wall-clock time per endpoint.", "counter", "",
+		func(e *endpointMetrics) string { return seconds(e.nanos.Load()) }},
+}
+
+var stageFamilies = []metricDesc[*stageMetrics]{
+	{"smore_stage_ops_total", "Completed operations per pipeline stage.", "counter", "",
+		func(s *stageMetrics) string { return count(s.ops.Load()) }},
+	{"smore_stage_latency_seconds_total", "Cumulative time spent per pipeline stage.", "counter", "",
+		func(s *stageMetrics) string { return seconds(s.nanos.Load()) }},
+}
+
+var registryFamilies = []metricDesc[registryTotals]{
+	{"smore_models", "Models currently registered.", "gauge", "",
+		func(r registryTotals) string { return count(r.models) }},
+	{"smore_model_uploads_total", "Bundles installed through the registry (creates plus swaps).", "counter", "",
+		func(r registryTotals) string { return count(r.uploads.Load()) }},
+	{"smore_model_swaps_total", "Uploads that hot-swapped an existing model.", "counter", "",
+		func(r registryTotals) string { return count(r.swaps.Load()) }},
+	{"smore_model_evictions_total", "Models displaced by LRU eviction.", "counter", "",
+		func(r registryTotals) string { return count(r.evictions.Load()) }},
+	{"smore_model_deletes_total", "Models removed by DELETE.", "counter", "",
+		func(r registryTotals) string { return count(r.deletes.Load()) }},
+	{"smore_overload_rejects_total", "Requests rejected 429 by the in-flight admission cap.", "counter", "",
+		func(r registryTotals) string { return count(r.overloadRejects.Load()) }},
+}
+
+var modelFamilies = []metricDesc[*modelInfo]{
+	{"smore_model_adapted", "Whether the served ensemble has an adapted target model.", "gauge", "",
+		func(mi *modelInfo) string { return count(b2i(mi.Adapted)) }},
+	{"smore_model_dim", "Hypervector dimension of the served model.", "gauge", "",
+		func(mi *modelInfo) string { return count(mi.Dim) }},
+	{"smore_model_classes", "Class count of the served model.", "gauge", "",
+		func(mi *modelInfo) string { return count(mi.Classes) }},
+	{"smore_stream_queue_depth", "Windows waiting in the streaming adaptation queue.", "gauge", "",
+		func(mi *modelInfo) string { return count(mi.Stream.QueueDepth) }},
+	{"smore_stream_queue_capacity", "Configured streaming queue capacity.", "gauge", "",
+		func(mi *modelInfo) string { return count(mi.Stream.Capacity) }},
+	{"smore_stream_in_flight", "Windows taken by the adapter but not yet folded.", "gauge", "",
+		func(mi *modelInfo) string { return count(mi.Stream.InFlight) }},
+	{"smore_stream_windows_enqueued_total", "Windows accepted onto the streaming queue.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Stream.Enqueued) }},
+	{"smore_stream_windows_dropped_total", "Windows rejected with queue-full backpressure.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Stream.Dropped) }},
+	{"smore_stream_batches_folded_total", "Micro-batches folded into the model.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Stream.BatchesFolded) }},
+	{"smore_stream_windows_folded_total", "Windows folded into the model.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Stream.WindowsFolded) }},
+	{"smore_stream_errors_total", "Streaming batches dropped by a failed stage.", "counter", `stage="encode"`,
+		func(mi *modelInfo) string { return count(mi.Stream.EncodeErrors) }},
+	{"smore_stream_errors_total", "Streaming batches dropped by a failed stage.", "counter", `stage="fold"`,
+		func(mi *modelInfo) string { return count(mi.Stream.FoldErrors) }},
+	{"smore_stream_windows_lost_total", "Accepted windows discarded by a failed encode or fold.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Stream.WindowsLost) }},
+	{"smore_stream_pseudo_labels_total", "Pseudo-labels applied by streamed folds.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Stream.Adapt.PseudoLabels) }},
+	{"smore_model_targets", "Live target domains held by the served ensemble.", "gauge", "",
+		func(mi *modelInfo) string { return count(len(mi.Targets)) }},
+	{"smore_stream_similarity_ema", "Batch-vs-active-target similarity EMA (0 until the first measurement).", "gauge", "",
+		func(mi *modelInfo) string { return fmt.Sprintf("%.6f", mi.Stream.SimilarityEMA) }},
+	{"smore_stream_folds_on_target", "Successful folds since the active target last changed.", "gauge", "",
+		func(mi *modelInfo) string { return count(mi.Stream.FoldsOnTarget) }},
+	{"smore_stream_targets_spawned_total", "Target domains opened by the drift policy.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Stream.TargetsSpawned) }},
+	{"smore_stream_targets_retired_total", "Target domains retired past the MaxTargets bound.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Stream.TargetsRetired) }},
+	{"smore_stream_rollbacks_total", "Checkpoint restores served on the rollback route.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Rollback) }},
+	{"smore_checkpoint_generation", "Latest durable checkpoint generation persisted for the model (0 before the first).", "gauge", "",
+		func(mi *modelInfo) string { return count(mi.CheckpointGen) }},
+	{"smore_checkpoints_total", "Durable checkpoints persisted for the model.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.Checkpoints) }},
+	{"smore_checkpoint_failures_total", "Durable checkpoint attempts that failed to persist.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.CheckpointFailures) }},
+	{"smore_breaker_state", "Stream-fold circuit state: 0 closed, 1 half-open, 2 open.", "gauge", "",
+		func(mi *modelInfo) string { return count(breakerStateValue(mi.Breaker)) }},
+	{"smore_breaker_opens_total", "Stream-fold circuit transitions to open.", "counter", "",
+		func(mi *modelInfo) string { return count(mi.BreakerOpens) }},
+}
+
 // render writes the counters in Prometheus text exposition format: the
-// global endpoint/stage/registry counters, then one labeled series per
+// endpoint, stage and registry families, then one labelled series per
 // registered model (infos arrives name-sorted), so the output is stable.
 func (m *metrics) render(w io.Writer, infos []modelInfo) {
-	fmt.Fprintf(w, "# HELP smore_requests_total Requests received per endpoint.\n")
-	fmt.Fprintf(w, "# TYPE smore_requests_total counter\n")
-	for _, e := range sortedKeys(m.endpoints) {
-		fmt.Fprintf(w, "smore_requests_total{endpoint=%q} %d\n", e, m.endpoints[e].requests.Load())
+	models := make([]series[*modelInfo], len(infos))
+	for i := range infos {
+		models[i] = series[*modelInfo]{fmt.Sprintf("model=%q", infos[i].Name), &infos[i]}
 	}
-	fmt.Fprintf(w, "# HELP smore_request_errors_total Requests that returned a non-2xx status.\n")
-	fmt.Fprintf(w, "# TYPE smore_request_errors_total counter\n")
-	for _, e := range sortedKeys(m.endpoints) {
-		fmt.Fprintf(w, "smore_request_errors_total{endpoint=%q} %d\n", e, m.endpoints[e].errors.Load())
-	}
-	fmt.Fprintf(w, "# HELP smore_response_write_errors_total Response writes that failed after the status was committed.\n")
-	fmt.Fprintf(w, "# TYPE smore_response_write_errors_total counter\n")
-	for _, e := range sortedKeys(m.endpoints) {
-		fmt.Fprintf(w, "smore_response_write_errors_total{endpoint=%q} %d\n", e, m.endpoints[e].writeErrors.Load())
-	}
-	fmt.Fprintf(w, "# HELP smore_request_latency_seconds_total Cumulative request wall-clock time per endpoint.\n")
-	fmt.Fprintf(w, "# TYPE smore_request_latency_seconds_total counter\n")
-	for _, e := range sortedKeys(m.endpoints) {
-		fmt.Fprintf(w, "smore_request_latency_seconds_total{endpoint=%q} %.9f\n",
-			e, float64(m.endpoints[e].nanos.Load())/1e9)
-	}
-	fmt.Fprintf(w, "# HELP smore_stage_ops_total Completed operations per pipeline stage.\n")
-	fmt.Fprintf(w, "# TYPE smore_stage_ops_total counter\n")
-	for _, s := range sortedKeys(m.stages) {
-		fmt.Fprintf(w, "smore_stage_ops_total{stage=%q} %d\n", s, m.stages[s].ops.Load())
-	}
-	fmt.Fprintf(w, "# HELP smore_stage_latency_seconds_total Cumulative time spent per pipeline stage.\n")
-	fmt.Fprintf(w, "# TYPE smore_stage_latency_seconds_total counter\n")
-	for _, s := range sortedKeys(m.stages) {
-		fmt.Fprintf(w, "smore_stage_latency_seconds_total{stage=%q} %.9f\n",
-			s, float64(m.stages[s].nanos.Load())/1e9)
-	}
+	writeFamilies(w, endpointFamilies, keyed("endpoint", m.endpoints))
+	writeFamilies(w, stageFamilies, keyed("stage", m.stages))
+	writeFamilies(w, registryFamilies, []series[registryTotals]{{"", registryTotals{m, len(infos)}}})
+	writeFamilies(w, modelFamilies, models)
+}
 
-	fmt.Fprintf(w, "# HELP smore_models Models currently registered.\n")
-	fmt.Fprintf(w, "# TYPE smore_models gauge\n")
-	fmt.Fprintf(w, "smore_models %d\n", len(infos))
-	fmt.Fprintf(w, "# HELP smore_model_uploads_total Bundles installed through the registry (creates plus swaps).\n")
-	fmt.Fprintf(w, "# TYPE smore_model_uploads_total counter\n")
-	fmt.Fprintf(w, "smore_model_uploads_total %d\n", m.uploads.Load())
-	fmt.Fprintf(w, "# HELP smore_model_swaps_total Uploads that hot-swapped an existing model.\n")
-	fmt.Fprintf(w, "# TYPE smore_model_swaps_total counter\n")
-	fmt.Fprintf(w, "smore_model_swaps_total %d\n", m.swaps.Load())
-	fmt.Fprintf(w, "# HELP smore_model_evictions_total Models displaced by LRU eviction.\n")
-	fmt.Fprintf(w, "# TYPE smore_model_evictions_total counter\n")
-	fmt.Fprintf(w, "smore_model_evictions_total %d\n", m.evictions.Load())
-	fmt.Fprintf(w, "# HELP smore_model_deletes_total Models removed by DELETE.\n")
-	fmt.Fprintf(w, "# TYPE smore_model_deletes_total counter\n")
-	fmt.Fprintf(w, "smore_model_deletes_total %d\n", m.deletes.Load())
-	fmt.Fprintf(w, "# HELP smore_overload_rejects_total Requests rejected 429 by the in-flight admission cap.\n")
-	fmt.Fprintf(w, "# TYPE smore_overload_rejects_total counter\n")
-	fmt.Fprintf(w, "smore_overload_rejects_total %d\n", m.overloadRejects.Load())
-
-	fmt.Fprintf(w, "# HELP smore_model_adapted Whether the served ensemble has an adapted target model.\n")
-	fmt.Fprintf(w, "# TYPE smore_model_adapted gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_model_adapted{model=%q} %d\n", mi.Name, b2i(mi.Adapted))
-	}
-	fmt.Fprintf(w, "# HELP smore_model_dim Hypervector dimension of the served model.\n")
-	fmt.Fprintf(w, "# TYPE smore_model_dim gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_model_dim{model=%q} %d\n", mi.Name, mi.Dim)
-	}
-	fmt.Fprintf(w, "# HELP smore_model_classes Class count of the served model.\n")
-	fmt.Fprintf(w, "# TYPE smore_model_classes gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_model_classes{model=%q} %d\n", mi.Name, mi.Classes)
-	}
-
-	fmt.Fprintf(w, "# HELP smore_stream_queue_depth Windows waiting in the streaming adaptation queue.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_queue_depth gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_queue_depth{model=%q} %d\n", mi.Name, mi.Stream.QueueDepth)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_queue_capacity Configured streaming queue capacity.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_queue_capacity gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_queue_capacity{model=%q} %d\n", mi.Name, mi.Stream.Capacity)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_in_flight Windows taken by the adapter but not yet folded.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_in_flight gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_in_flight{model=%q} %d\n", mi.Name, mi.Stream.InFlight)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_windows_enqueued_total Windows accepted onto the streaming queue.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_windows_enqueued_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_windows_enqueued_total{model=%q} %d\n", mi.Name, mi.Stream.Enqueued)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_windows_dropped_total Windows rejected with queue-full backpressure.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_windows_dropped_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_windows_dropped_total{model=%q} %d\n", mi.Name, mi.Stream.Dropped)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_batches_folded_total Micro-batches folded into the model.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_batches_folded_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_batches_folded_total{model=%q} %d\n", mi.Name, mi.Stream.BatchesFolded)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_windows_folded_total Windows folded into the model.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_windows_folded_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_windows_folded_total{model=%q} %d\n", mi.Name, mi.Stream.WindowsFolded)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_errors_total Streaming batches dropped by a failed stage.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_errors_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_errors_total{model=%q,stage=\"encode\"} %d\n", mi.Name, mi.Stream.EncodeErrors)
-		fmt.Fprintf(w, "smore_stream_errors_total{model=%q,stage=\"fold\"} %d\n", mi.Name, mi.Stream.FoldErrors)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_windows_lost_total Accepted windows discarded by a failed encode or fold.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_windows_lost_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_windows_lost_total{model=%q} %d\n", mi.Name, mi.Stream.WindowsLost)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_pseudo_labels_total Pseudo-labels applied by streamed folds.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_pseudo_labels_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_pseudo_labels_total{model=%q} %d\n", mi.Name, mi.Stream.Adapt.PseudoLabels)
-	}
-
-	fmt.Fprintf(w, "# HELP smore_model_targets Live target domains held by the served ensemble.\n")
-	fmt.Fprintf(w, "# TYPE smore_model_targets gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_model_targets{model=%q} %d\n", mi.Name, len(mi.Targets))
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_similarity_ema Batch-vs-active-target similarity EMA (0 until the first measurement).\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_similarity_ema gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_similarity_ema{model=%q} %.6f\n", mi.Name, mi.Stream.SimilarityEMA)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_folds_on_target Successful folds since the active target last changed.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_folds_on_target gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_folds_on_target{model=%q} %d\n", mi.Name, mi.Stream.FoldsOnTarget)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_targets_spawned_total Target domains opened by the drift policy.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_targets_spawned_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_targets_spawned_total{model=%q} %d\n", mi.Name, mi.Stream.TargetsSpawned)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_targets_retired_total Target domains retired past the MaxTargets bound.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_targets_retired_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_targets_retired_total{model=%q} %d\n", mi.Name, mi.Stream.TargetsRetired)
-	}
-	fmt.Fprintf(w, "# HELP smore_stream_rollbacks_total Checkpoint restores served on the rollback route.\n")
-	fmt.Fprintf(w, "# TYPE smore_stream_rollbacks_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_stream_rollbacks_total{model=%q} %d\n", mi.Name, mi.Rollback)
-	}
-
-	fmt.Fprintf(w, "# HELP smore_checkpoint_generation Latest durable checkpoint generation persisted for the model (0 before the first).\n")
-	fmt.Fprintf(w, "# TYPE smore_checkpoint_generation gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_checkpoint_generation{model=%q} %d\n", mi.Name, mi.CheckpointGen)
-	}
-	fmt.Fprintf(w, "# HELP smore_checkpoints_total Durable checkpoints persisted for the model.\n")
-	fmt.Fprintf(w, "# TYPE smore_checkpoints_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_checkpoints_total{model=%q} %d\n", mi.Name, mi.Checkpoints)
-	}
-	fmt.Fprintf(w, "# HELP smore_checkpoint_failures_total Durable checkpoint attempts that failed to persist.\n")
-	fmt.Fprintf(w, "# TYPE smore_checkpoint_failures_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_checkpoint_failures_total{model=%q} %d\n", mi.Name, mi.CheckpointFailures)
-	}
-	fmt.Fprintf(w, "# HELP smore_breaker_state Stream-fold circuit state: 0 closed, 1 half-open, 2 open.\n")
-	fmt.Fprintf(w, "# TYPE smore_breaker_state gauge\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_breaker_state{model=%q} %d\n", mi.Name, breakerStateValue(mi.Breaker))
-	}
-	fmt.Fprintf(w, "# HELP smore_breaker_opens_total Stream-fold circuit transitions to open.\n")
-	fmt.Fprintf(w, "# TYPE smore_breaker_opens_total counter\n")
-	for _, mi := range infos {
-		fmt.Fprintf(w, "smore_breaker_opens_total{model=%q} %d\n", mi.Name, mi.BreakerOpens)
+// writeFamilies renders each family's HELP and TYPE lines followed by one
+// sample line per series (per series and label when the family is split).
+func writeFamilies[T any](w io.Writer, descs []metricDesc[T], ss []series[T]) {
+	for i := 0; i < len(descs); {
+		d := descs[i]
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", d.name, d.help, d.name, d.typ)
+		j := i
+		for j < len(descs) && descs[j].name == d.name {
+			j++
+		}
+		for _, s := range ss {
+			for _, part := range descs[i:j] {
+				labels := s.labels
+				if part.label != "" {
+					labels += "," + part.label
+				}
+				if labels != "" {
+					labels = "{" + labels + "}"
+				}
+				fmt.Fprintf(w, "%s%s %s\n", d.name, labels, part.value(s.src))
+			}
+		}
+		i = j
 	}
 }
+
+// keyed labels each entry of a counter map with label="key", in key order.
+func keyed[V any](label string, m map[string]V) []series[V] {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]series[V], len(keys))
+	for i, k := range keys {
+		out[i] = series[V]{fmt.Sprintf("%s=%q", label, k), m[k]}
+	}
+	return out
+}
+
+func count[N ~int | ~int64](n N) string { return strconv.FormatInt(int64(n), 10) }
+
+func seconds(nanos int64) string { return fmt.Sprintf("%.9f", float64(nanos)/1e9) }
 
 // breakerStateValue maps a breaker state name to its gauge value.
 func breakerStateValue(state string) int {
@@ -279,15 +267,6 @@ func breakerStateValue(state string) int {
 	default:
 		return 0
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func b2i(b bool) int {

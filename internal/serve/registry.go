@@ -398,6 +398,14 @@ func (g *registry) retire(insts []*instance) {
 	}
 }
 
+// size counts the registered models under the registry mutex alone, so a
+// liveness probe never waits on a model's fold the way infos does.
+func (g *registry) size() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.models)
+}
+
 // infos snapshots every entry's identity and stream counters, sorted by
 // name for stable rendering.
 func (g *registry) infos() []modelInfo {

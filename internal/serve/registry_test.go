@@ -114,7 +114,7 @@ func TestRegistryUploadRoundTripsAndServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := alt.Model.PredictBatch(hvs, 1)
+	want := alt.Model.Snapshot().PredictBatch(hvs, 1)
 	for i := range want {
 		if got.Predictions[i] != want[i] {
 			t.Fatalf("named prediction %d: served %d, direct %d", i, got.Predictions[i], want[i])
@@ -166,7 +166,7 @@ func TestRegistryUploadRoundTripsAndServes(t *testing.T) {
 func TestRegistryHotSwap(t *testing.T) {
 	_, ts, _, _ := testServer(t)
 	first, firstWindows := altArtifacts(t, 11)
-	if _, err := first.Model.Adapt(mustEncode(t, first, firstWindows[:8])); err != nil {
+	if _, err := first.Model.AdaptBatch(mustEncode(t, first, firstWindows[:8]), 0); err != nil {
 		t.Fatal(err)
 	}
 	resp := uploadBundle(t, ts.URL, "swap-me", bundleBytes(t, first))

@@ -227,23 +227,24 @@ func (s *Server) StreamStats() stream.Stats { return s.reg.def.Load().stream.Sta
 //	GET    /metrics                       Prometheus text exposition
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/predict", s.onDefault("predict", s.predict))
-	mux.HandleFunc("POST /v1/adapt", s.onDefault("adapt", s.adapt))
-	mux.HandleFunc("POST /v1/stream/adapt", s.onDefault("stream_adapt", s.streamAdapt))
-	mux.HandleFunc("GET /v1/stream/stats", s.onDefault("stream_stats", s.streamStats))
-	mux.HandleFunc("POST /v1/stream/rollback", s.onDefault("stream_rollback", s.streamRollback))
-	mux.HandleFunc("POST /v1/checkpoint", s.onDefault("checkpoint", s.checkpoint))
-	mux.HandleFunc("GET /v1/model", s.onDefault("model", s.export))
+	def, named := s.defaultInstance, s.namedInstance
+	mux.HandleFunc("POST /v1/predict", s.onModel("predict", def, s.predict))
+	mux.HandleFunc("POST /v1/adapt", s.onModel("adapt", def, s.adapt))
+	mux.HandleFunc("POST /v1/stream/adapt", s.onModel("stream_adapt", def, s.streamAdapt))
+	mux.HandleFunc("GET /v1/stream/stats", s.onModel("stream_stats", def, s.streamStats))
+	mux.HandleFunc("POST /v1/stream/rollback", s.onModel("stream_rollback", def, s.streamRollback))
+	mux.HandleFunc("POST /v1/checkpoint", s.onModel("checkpoint", def, s.checkpoint))
+	mux.HandleFunc("GET /v1/model", s.onModel("model", def, s.export))
 	mux.HandleFunc("GET /v1/models", s.plain("models", s.listModels))
 	mux.HandleFunc("POST /v1/models/{name}", s.plain("model_upload", s.uploadModel))
-	mux.HandleFunc("GET /v1/models/{name}", s.onNamed("model", s.export))
+	mux.HandleFunc("GET /v1/models/{name}", s.onModel("model", named, s.export))
 	mux.HandleFunc("DELETE /v1/models/{name}", s.plain("model_delete", s.deleteModel))
-	mux.HandleFunc("POST /v1/models/{name}/predict", s.onNamed("predict", s.predict))
-	mux.HandleFunc("POST /v1/models/{name}/adapt", s.onNamed("adapt", s.adapt))
-	mux.HandleFunc("POST /v1/models/{name}/stream/adapt", s.onNamed("stream_adapt", s.streamAdapt))
-	mux.HandleFunc("GET /v1/models/{name}/stream/stats", s.onNamed("stream_stats", s.streamStats))
-	mux.HandleFunc("POST /v1/models/{name}/stream/rollback", s.onNamed("stream_rollback", s.streamRollback))
-	mux.HandleFunc("POST /v1/models/{name}/checkpoint", s.onNamed("checkpoint", s.checkpoint))
+	mux.HandleFunc("POST /v1/models/{name}/predict", s.onModel("predict", named, s.predict))
+	mux.HandleFunc("POST /v1/models/{name}/adapt", s.onModel("adapt", named, s.adapt))
+	mux.HandleFunc("POST /v1/models/{name}/stream/adapt", s.onModel("stream_adapt", named, s.streamAdapt))
+	mux.HandleFunc("GET /v1/models/{name}/stream/stats", s.onModel("stream_stats", named, s.streamStats))
+	mux.HandleFunc("POST /v1/models/{name}/stream/rollback", s.onModel("stream_rollback", named, s.streamRollback))
+	mux.HandleFunc("POST /v1/models/{name}/checkpoint", s.onModel("checkpoint", named, s.checkpoint))
 	mux.HandleFunc("GET /healthz", s.plain("healthz", s.healthz))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -278,13 +279,23 @@ func (s *Server) withDeadline(r *http.Request) (*http.Request, context.CancelFun
 	return r.WithContext(ctx), cancel
 }
 
-// onDefault wires an instance handler to whatever instance is currently
-// registered as the default — one atomic load, no registry lock, and always
-// the live instance even after a hot swap of "default" (a cached pointer
-// would keep serving, and stream-enqueueing into, the retired model). The
-// wrapper also applies the overload-protection envelope: the in-flight
-// admission cap and the per-request deadline.
-func (s *Server) onDefault(endpoint string, h instanceHandler) http.HandlerFunc {
+// defaultInstance resolves the unnamed routes to whatever instance is
+// currently registered as the default — one atomic load, no registry lock,
+// and always the live instance even after a hot swap of "default" (a cached
+// pointer would keep serving, and stream-enqueueing into, the retired
+// model).
+func (s *Server) defaultInstance(*http.Request) (*instance, error) { return s.reg.def.Load(), nil }
+
+// namedInstance resolves {name} through the registry, touching its LRU slot.
+func (s *Server) namedInstance(r *http.Request) (*instance, error) {
+	return s.reg.get(r.PathValue("name"))
+}
+
+// onModel wires an instance handler to the instance resolve picks, behind
+// the overload-protection envelope: the in-flight admission cap and the
+// per-request deadline. A named route shares the endpoint counters of its
+// default-route twin.
+func (s *Server) onModel(endpoint string, resolve func(*http.Request) (*instance, error), h instanceHandler) http.HandlerFunc {
 	return func(rw http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		w := &responseRecorder{ResponseWriter: rw}
@@ -296,32 +307,10 @@ func (s *Server) onDefault(endpoint string, h instanceHandler) http.HandlerFunc 
 		defer release()
 		r, cancel := s.withDeadline(r)
 		defer cancel()
-		s.finish(w, endpoint, start, h(s.reg.def.Load(), w, r))
-	}
-}
-
-// onNamed resolves {name} through the registry (touching its LRU slot)
-// before running the handler. Requests share the same endpoint counters —
-// and the same admission/deadline envelope — as their default-route twins.
-func (s *Server) onNamed(endpoint string, h instanceHandler) http.HandlerFunc {
-	return func(rw http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		w := &responseRecorder{ResponseWriter: rw}
-		release, aerr := s.admit(endpoint)
-		if aerr != nil {
-			s.finish(w, endpoint, start, aerr)
-			return
+		inst, err := resolve(r)
+		if err == nil {
+			err = h(inst, w, r)
 		}
-		defer release()
-		r, cancel := s.withDeadline(r)
-		defer cancel()
-		err := func() error {
-			inst, err := s.reg.get(r.PathValue("name"))
-			if err != nil {
-				return err
-			}
-			return h(inst, w, r)
-		}()
 		s.finish(w, endpoint, start, err)
 	}
 }
@@ -420,21 +409,12 @@ func errCode(err error) string {
 // silently ignored.
 func (s *Server) decodeWindows(w http.ResponseWriter, r *http.Request, req *predictRequest) error {
 	defer s.met.stage("decode")()
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBody)
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBody))
 	if err := dec.Decode(req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{http.StatusRequestEntityTooLarge, codeBodyTooLarge, fmt.Sprintf("body exceeds %d bytes", s.opt.MaxBody)}
-		}
-		return &httpError{http.StatusBadRequest, codeInvalidJSON, "invalid JSON: " + err.Error()}
+		return s.bodyError(err, &httpError{http.StatusBadRequest, codeInvalidJSON, "invalid JSON: " + err.Error()})
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{http.StatusRequestEntityTooLarge, codeBodyTooLarge, fmt.Sprintf("body exceeds %d bytes", s.opt.MaxBody)}
-		}
-		return &httpError{http.StatusBadRequest, codeTrailingData, "trailing data after JSON body"}
+		return s.bodyError(err, &httpError{http.StatusBadRequest, codeTrailingData, "trailing data after JSON body"})
 	}
 	if len(req.Windows) == 0 {
 		return &httpError{http.StatusBadRequest, codeEmptyBatch, "no windows in request"}
@@ -443,6 +423,16 @@ func (s *Server) decodeWindows(w http.ResponseWriter, r *http.Request, req *pred
 		return &httpError{http.StatusRequestEntityTooLarge, codeBatchTooLarge, fmt.Sprintf("batch of %d windows exceeds maximum %d", len(req.Windows), s.opt.MaxBatch)}
 	}
 	return nil
+}
+
+// bodyError maps a failed request-body read to the client's error: 413 when
+// the body overran MaxBody, otherwise the given error.
+func (s *Server) bodyError(err error, otherwise *httpError) *httpError {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &httpError{http.StatusRequestEntityTooLarge, codeBodyTooLarge, fmt.Sprintf("body exceeds %d bytes", s.opt.MaxBody)}
+	}
+	return otherwise
 }
 
 // responseRecorder tracks whether a handler has committed a response, so an
@@ -758,7 +748,7 @@ type uploadModelResponse struct {
 }
 
 // uploadModel installs the request body (canonical bundle bytes, as written
-// by /v1/model or smore -save) under {name}: 201 for a new entry, 200 for
+// by /v1/model or smore train -save) under {name}: 201 for a new entry, 200 for
 // an atomic hot swap of an existing one. In-flight requests against a
 // swapped model finish against the old instance; its stream queue is
 // drained into the discarded model in the background.
@@ -769,19 +759,7 @@ func (s *Server) uploadModel(w *responseRecorder, r *http.Request) error {
 		body := http.MaxBytesReader(w, r.Body, s.opt.MaxBody)
 		b, err := pipeline.ReadBundle(body)
 		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				return nil, &httpError{http.StatusRequestEntityTooLarge, codeBodyTooLarge, fmt.Sprintf("body exceeds %d bytes", s.opt.MaxBody)}
-			}
-			// Typed model errors pick the precise code; no string matching.
-			code := codeInvalidBundle
-			switch {
-			case errors.Is(err, model.ErrInvalidConfig):
-				code = codeInvalidConfig
-			case errors.Is(err, model.ErrUnknownStrategy):
-				code = codeUnknownStrategy
-			}
-			return nil, &httpError{http.StatusBadRequest, code, err.Error()}
+			return nil, s.bodyError(err, &httpError{http.StatusBadRequest, bundleErrCode(err), err.Error()})
 		}
 		if n, _ := io.Copy(io.Discard, body); n != 0 {
 			return nil, &httpError{http.StatusBadRequest, codeTrailingData, "trailing bytes after bundle payload"}
@@ -821,7 +799,7 @@ func (s *Server) healthz(w *responseRecorder, r *http.Request) error {
 		"dim":      cfg.Dim,
 		"classes":  cfg.Classes,
 		"strategy": def.model.Strategy().String(),
-		"models":   len(s.reg.infos()),
+		"models":   s.reg.size(),
 	})
 }
 

@@ -131,7 +131,7 @@ func TestPredictMatchesDirectBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := art.Model.PredictBatch(hvs, 1)
+	want := art.Model.Snapshot().PredictBatch(hvs, 1)
 	if len(got.Predictions) != len(want) {
 		t.Fatalf("got %d predictions, want %d", len(got.Predictions), len(want))
 	}
@@ -178,7 +178,7 @@ func TestAdaptThenPredictUsesAdaptedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.Model.PredictBatch(queryHVs, 1)
+	want := ref.Model.Snapshot().PredictBatch(queryHVs, 1)
 	for i := range want {
 		if got.Predictions[i] != want[i] {
 			t.Fatalf("post-adapt prediction %d: served %d, direct %d", i, got.Predictions[i], want[i])
@@ -228,8 +228,8 @@ func TestModelExportRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := art.Model.PredictBatch(hvs, 1)
-	got := b.Model.PredictBatch(hvs, 1)
+	want := art.Model.Snapshot().PredictBatch(hvs, 1)
+	got := b.Model.Snapshot().PredictBatch(hvs, 1)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("prediction %d: exported model %d, served model %d", i, got[i], want[i])
@@ -278,6 +278,67 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(text, "smore_stage_latency_seconds_total") {
 		t.Error("metrics output missing per-stage latency counters")
+	}
+}
+
+// blockingRule is a confidence rule whose Assess parks until released, so a
+// test can hold an adaptation fold — and with it the ensemble's mutator
+// lock — open for as long as it needs.
+type blockingRule struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (r *blockingRule) Name() string { return "margin" }
+
+func (r *blockingRule) Assess(scores []float64) (int, float64, float64) {
+	r.once.Do(func() { close(r.entered) })
+	<-r.release
+	return model.MarginConfidence{}.Assess(scores)
+}
+
+// TestHealthzAnswersDuringFold pins that the liveness probe never waits on
+// an adaptation fold: /healthz must answer while a fold holds the model's
+// mutator lock.
+func TestHealthzAnswersDuringFold(t *testing.T) {
+	_, ts, art, windows := testServer(t)
+	rule := &blockingRule{entered: make(chan struct{}), release: make(chan struct{})}
+	art.Model.SetStrategy(model.Strategy{Confidence: rule})
+	release := sync.OnceFunc(func() { close(rule.release) })
+	defer release()
+
+	body, err := json.Marshal(predictRequest{Windows: windows[:4]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adapted := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/adapt", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("adapt returned %d", resp.StatusCode)
+			}
+		}
+		adapted <- err
+	}()
+	select {
+	case <-rule.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the adapt fold never started")
+	}
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("/healthz did not answer while a fold held the model lock: %v", err)
+	}
+	if h := decodeBody[map[string]any](t, resp); resp.StatusCode != http.StatusOK || h["models"] != 1.0 {
+		t.Fatalf("/healthz during a fold = %d %v, want 200 with one model", resp.StatusCode, h)
+	}
+	release()
+	if err := <-adapted; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -418,7 +479,7 @@ func TestStreamAdaptFoldsInBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.Model.PredictBatch(queryHVs, 1)
+	want := ref.Model.Snapshot().PredictBatch(queryHVs, 1)
 	for i := range want {
 		if got.Predictions[i] != want[i] {
 			t.Fatalf("post-stream prediction %d: served %d, direct %d", i, got.Predictions[i], want[i])

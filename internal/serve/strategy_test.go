@@ -115,14 +115,14 @@ func TestAdaptStrategySelection(t *testing.T) {
 	}
 
 	// A requested strategy is applied, reported, and sticks on the model.
-	resp = postJSON(t, ts.URL+"/v1/adapt", predictRequest{Windows: windows[:4], Strategy: "entropy+anneal+ema"})
+	resp = postJSON(t, ts.URL+"/v1/adapt", predictRequest{Windows: windows[:4], Strategy: "entropy-cal+anneal+ema"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("adapt status %d", resp.StatusCode)
 	}
-	if got := decodeBody[adaptResponse](t, resp).Strategy; got != "entropy+anneal+ema" {
-		t.Fatalf("adapt strategy %q, want entropy+anneal+ema", got)
+	if got := decodeBody[adaptResponse](t, resp).Strategy; got != "entropy-cal+anneal+ema" {
+		t.Fatalf("adapt strategy %q, want entropy-cal+anneal+ema", got)
 	}
-	if got := art.Model.Strategy().String(); got != "entropy+anneal+ema" {
+	if got := art.Model.Strategy().String(); got != "entropy-cal+anneal+ema" {
 		t.Fatalf("model strategy after adapt %q", got)
 	}
 
@@ -134,8 +134,8 @@ func TestAdaptStrategySelection(t *testing.T) {
 	list := decodeBody[struct {
 		Models []modelInfo `json:"models"`
 	}](t, listResp)
-	if len(list.Models) != 1 || list.Models[0].Strategy != "entropy+anneal+ema" {
-		t.Fatalf("models listing = %+v, want one entry with strategy entropy+anneal+ema", list.Models)
+	if len(list.Models) != 1 || list.Models[0].Strategy != "entropy-cal+anneal+ema" {
+		t.Fatalf("models listing = %+v, want one entry with strategy entropy-cal+anneal+ema", list.Models)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestStreamAdaptStrategySelection(t *testing.T) {
 // serve-layer export/upload cycle (SME2 inside the bundle).
 func TestUploadStrategyRoundTrip(t *testing.T) {
 	_, ts, art, _ := testServer(t)
-	strat, err := model.ParseStrategySpec("entropy+constant+bundle")
+	strat, err := model.ParseStrategySpec("entropy-cal+constant+bundle")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,8 @@ func TestUploadStrategyRoundTrip(t *testing.T) {
 	for _, m := range list.Models {
 		if m.Name == "clone" {
 			found = true
-			if m.Strategy != "entropy+constant+bundle" {
-				t.Fatalf("uploaded clone strategy %q, want entropy+constant+bundle", m.Strategy)
+			if m.Strategy != "entropy-cal+constant+bundle" {
+				t.Fatalf("uploaded clone strategy %q, want entropy-cal+constant+bundle", m.Strategy)
 			}
 		}
 	}

@@ -46,7 +46,14 @@ wait_healthz() { # $1 addr, $2 pid
 go build -o "$tmp/smore" ./cmd/smore
 go build -o "$tmp/smore-serve" ./cmd/smore-serve
 
-"$tmp/smore" -dim 512 -levels 8 -ngram 2 -sensors 2 -classes 3 -window 16 \
+# The flat CLI is gone: top-level flags without a command print the usage
+# and exit 2, so no caller can silently fall back to it.
+code=0
+"$tmp/smore" -dim 512 >/dev/null 2>"$tmp/flat.err" || code=$?
+[ "$code" = "2" ] || fail "smore with top-level flags exited $code, want 2"
+grep -q '^usage: smore <command>' "$tmp/flat.err" || fail "smore with top-level flags did not print the usage"
+
+"$tmp/smore" train -dim 512 -levels 8 -ngram 2 -sensors 2 -classes 3 -window 16 \
   -per-class 8 -seed 7 -save "$tmp/model.smore" >/dev/null
 
 "$tmp/smore-serve" -load "$tmp/model.smore" -addr "$ADDR" -max-models 2 &
@@ -80,9 +87,9 @@ grep -q '"error":{"code":"trailing_data"' "$tmp/err_trailing.json" \
   || fail "trailing-garbage error is not the {\"error\":{\"code\",\"message\"}} envelope: $(cat "$tmp/err_trailing.json")"
 
 # The loaded bundle must also re-evaluate identically through the CLI.
-"$tmp/smore" -dim 512 -sensors 2 -classes 3 -window 16 -per-class 8 -seed 7 \
+"$tmp/smore" eval -dim 512 -sensors 2 -classes 3 -window 16 -per-class 8 -seed 7 \
   -load "$tmp/model.smore" -json >"$tmp/loaded.json"
-"$tmp/smore" -dim 512 -levels 8 -ngram 2 -sensors 2 -classes 3 -window 16 \
+"$tmp/smore" train -dim 512 -levels 8 -ngram 2 -sensors 2 -classes 3 -window 16 \
   -per-class 8 -seed 7 -json >"$tmp/fresh.json"
 # Elapsed differs between runs; compare everything else.
 if ! diff <(grep -v '"elapsed"' "$tmp/fresh.json") <(grep -v '"elapsed"' "$tmp/loaded.json"); then
@@ -92,7 +99,7 @@ fi
 # --- streaming adaptation ---------------------------------------------------
 # Train a source-only model on a config whose target shift leaves clear room
 # to improve, dump the raw target split, and serve the unadapted bundle.
-"$tmp/smore" -dim 1024 -levels 16 -ngram 3 -sensors 3 -classes 4 -window 48 \
+"$tmp/smore" train -dim 1024 -levels 16 -ngram 3 -sensors 3 -classes 4 -window 48 \
   -per-class 24 -retrain 2 -seed 7 \
   -no-adapt -save "$tmp/source.smore" -dump-target "$tmp/target" \
   -dump-drift "$tmp/drift" >/dev/null
@@ -239,7 +246,7 @@ echo "e2e: registry upload/round-trip, hot swap, LRU eviction, delete OK"
 # --- adaptation strategies ---------------------------------------------------
 # A per-request strategy is applied to the fold, reported in the response,
 # and sticks on the model, so the registry listing shows it.
-strat='entropy+constant+bundle'
+strat='entropy-cal+constant+bundle'
 curl -fsS -X POST -H 'Content-Type: application/json' \
   -d "{\"windows\":[[[0.1,-0.2],[0.3,0.4],[0.0,1.1],[0.5,-0.5]]],\"strategy\":\"$strat\"}" \
   "http://$ADDR/v1/adapt" | grep >/dev/null "\"strategy\":\"$strat\"" \

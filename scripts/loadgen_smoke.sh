@@ -47,7 +47,7 @@ go build -o "$tmp/smore" ./cmd/smore
 go build -o "$tmp/smore-serve" ./cmd/smore-serve
 go build -o "$tmp/smore-loadgen" ./cmd/smore-loadgen
 
-"$tmp/smore" -dim 512 -levels 8 -ngram 2 -sensors 2 -classes 3 -window 16 \
+"$tmp/smore" train -dim 512 -levels 8 -ngram 2 -sensors 2 -classes 3 -window 16 \
   -per-class 8 -seed 7 -save "$tmp/model.smore" >/dev/null
 
 # --- phase 1: clean serving with durable checkpoints -------------------------
