@@ -14,7 +14,7 @@ FUZZPKG ?= ./internal/hdc
 FUZZ ?= FuzzVectorRoundTrip
 FUZZTIME ?= 30s
 
-.PHONY: build test race bench bench-json lint fuzz fmt fmt-check vet vet-smore demo serve e2e ablate-smoke drift-smoke loadgen-smoke clean
+.PHONY: build test race bench bench-json bench-smoke lint fuzz fmt fmt-check vet vet-smore demo serve e2e ablate-smoke drift-smoke loadgen-smoke clean
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ race:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
+
+# bench-smoke vets and tests the nested bench/ module (see bench/README.md),
+# which the root `go test ./...` skips: its smoke test runs every workload
+# with one-second phases (about 30 s). Build output stays under the
+# gitignored .bench_build/.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-json reruns the benchmark suite, snapshots it to BENCH_new.json in
 # the BENCH_N.json schema, and enforces the regression gate against

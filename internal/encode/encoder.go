@@ -129,18 +129,22 @@ func (e *Encoder) Quantize(x float64) int {
 	return l
 }
 
+// gramBlock is the number of complete n-grams EncodeInto collects before it
+// bundles them into the window accumulator with one AddRows call.
+const gramBlock = 64
+
 // Scratch is the reusable working state of one Encode pass: the current
-// step and gram vectors, the ring of shifted steps the sliding recurrence
-// folds out, and the window accumulator. A Scratch is bound to the encoder
-// configuration it was created from and is not safe for concurrent use;
-// create one per goroutine with NewScratch, or let Encode/EncodeBatch pool
-// them internally.
+// step vector, the block of n-grams awaiting the window bundle, the ring of
+// shifted steps the sliding recurrence folds out, and the window
+// accumulator. A Scratch is bound to the encoder configuration it was
+// created from and is not safe for concurrent use; create one per goroutine
+// with NewScratch, or let Encode/EncodeBatch pool them internally.
 type Scratch struct {
 	rows   []hdc.Vector // bound-pair rows selected by the current timestep
 	step   hdc.Vector   // spatial bundle of the current timestep
-	gram   hdc.Vector   // sliding n-gram of the last NGram steps
-	tmp    hdc.Vector   // rotation target, swapped with gram
-	ring   []hdc.Vector // P^(NGram-1)-shifted steps, indexed t mod NGram
+	tmp    hdc.Vector   // rotated previous gram
+	block  []hdc.Vector // gramBlock row views of one hdc.Matrix
+	ring   []hdc.Vector // P^NGram-shifted steps, indexed t mod NGram
 	winAcc *hdc.Accumulator
 
 	// stepAcc is the fallback spatial bundler for configurations with more
@@ -151,12 +155,16 @@ type Scratch struct {
 // NewScratch allocates encode working state sized for e's configuration.
 func (e *Encoder) NewScratch() *Scratch {
 	c := e.cfg
+	grams := hdc.NewMatrix(gramBlock, c.Dim)
 	sc := &Scratch{
 		rows:   make([]hdc.Vector, c.Sensors),
 		step:   hdc.New(c.Dim),
-		gram:   hdc.New(c.Dim),
 		tmp:    hdc.New(c.Dim),
+		block:  make([]hdc.Vector, gramBlock),
 		winAcc: hdc.NewAccumulator(c.Dim),
+	}
+	for i := range sc.block {
+		sc.block[i] = grams.Row(i)
 	}
 	if c.NGram > 1 {
 		sc.ring = make([]hdc.Vector, c.NGram)
@@ -197,13 +205,15 @@ func (e *Encoder) Encode(window [][]float64) (hdc.Vector, error) {
 // XOR, so rotation distributes over the n-gram product: with
 // gram(t) = Π_k P^(n-1-k)(step[t+k]),
 //
-//	gram(t+1) = P( gram(t) ⊗ P^(n-1)(step[t]) ) ⊗ step[t+n]
+//	gram(t+1) = P(gram(t)) ⊗ P^n(step[t]) ⊗ step[t+n]
 //
-// — fold out the leaving step (its P^(n-1) shift was stashed in the ring
-// when it entered), rotate once, fold in the arriving step. Each position
-// therefore costs O(1) vector ops regardless of NGram, instead of the
-// NGram permute+bind passes of the direct product, and the bits are
-// identical because every operation is exact.
+// — rotate the previous gram once, fold out the leaving step (its P^n shift
+// was stashed in the ring when it entered), fold in the arriving step. Each
+// position therefore costs O(1) vector ops regardless of NGram, instead of
+// the NGram permute+bind passes of the direct product, and the bits are
+// identical because every operation is exact. Each gram is written straight
+// into the next row of sc's gram block, which is bundled into the window
+// accumulator whenever it fills and once more at the end.
 //
 //smore:hotpath
 func (e *Encoder) EncodeInto(sc *Scratch, window [][]float64, dst *hdc.Vector) error {
@@ -216,39 +226,44 @@ func (e *Encoder) EncodeInto(sc *Scratch, window [][]float64, dst *hdc.Vector) e
 	}
 	n := c.NGram
 	sc.winAcc.Reset()
+	// grams counts the complete n-grams waiting in the block. Each step's
+	// gram, complete or still partial, is written to row grams; prev is the
+	// previous step's row, which a flush leaves intact.
+	grams := 0
+	var prev hdc.Vector
 	for t, row := range window {
 		if len(row) != c.Sensors {
 			return fmt.Errorf("encode: timestep %d has %d sensors, want %d", t, len(row), c.Sensors)
 		}
 		e.bundleStep(sc, row)
-		if n == 1 {
-			sc.winAcc.Add(sc.step, 1)
-			continue
-		}
-		if t == 0 {
-			sc.step.CopyInto(&sc.gram)
+		gram := sc.block[grams]
+		if t == 0 || n == 1 {
+			sc.step.CopyInto(&gram)
 		} else {
-			// Slide: drop the leaving step once the window is full, rotate
-			// the partial gram, fold in the new step. Before the window
+			// Slide: rotate the previous gram, drop the leaving step once
+			// the window is full, fold in the new step. Before the window
 			// fills this same rotate-and-fold builds gram(0) incrementally.
+			prev.PermuteInto(1, &sc.tmp)
 			if t >= n {
-				sc.gram.BindInto(sc.ring[t%n], &sc.gram)
+				sc.tmp.BindInto(sc.ring[t%n], &sc.tmp)
 			}
-			sc.gram.PermuteInto(1, &sc.tmp)
-			sc.gram, sc.tmp = sc.tmp, sc.gram
-			sc.gram.BindInto(sc.step, &sc.gram)
+			sc.tmp.BindInto(sc.step, &gram)
 		}
+		prev = gram
 		if t >= n-1 {
-			sc.winAcc.Add(sc.gram, 1)
+			if grams++; grams == gramBlock {
+				sc.winAcc.AddRows(sc.block...)
+				grams = 0
+			}
 		}
-		if t+n < len(window) {
+		if n > 1 && t+n < len(window) {
 			// This step leaves the sliding gram at timestep t+n; stash its
-			// P^(n-1) shift now so the removal there is a single XOR. The
-			// slot it lands in is exactly the one the fold-out at t+n reads
-			// first.
-			sc.step.PermuteInto(n-1, &sc.ring[t%n])
+			// P^n shift now so the removal there is a single XOR. The slot
+			// it lands in is exactly the one the fold-out at t+n reads.
+			sc.step.PermuteInto(n, &sc.ring[t%n])
 		}
 	}
+	sc.winAcc.AddRows(sc.block[:grams]...)
 	sc.winAcc.MajorityInto(dst)
 	return nil
 }
@@ -259,17 +274,15 @@ func (e *Encoder) EncodeInto(sc *Scratch, window [][]float64, dst *hdc.Vector) e
 // budget never touch accumulator staging memory.
 func (e *Encoder) bundleStep(sc *Scratch, row []float64) {
 	c := e.cfg
+	for s, x := range row {
+		sc.rows[s] = e.pairs.Row(s*c.Levels + e.Quantize(x))
+	}
 	if sc.stepAcc == nil {
-		for s, x := range row {
-			sc.rows[s] = e.pairs.Row(s*c.Levels + e.Quantize(x))
-		}
 		hdc.BundleRowsInto(&sc.step, sc.rows...)
 		return
 	}
 	sc.stepAcc.Reset()
-	for s, x := range row {
-		sc.stepAcc.Add(e.pairs.Row(s*c.Levels+e.Quantize(x)), 1)
-	}
+	sc.stepAcc.AddRows(sc.rows...)
 	sc.stepAcc.MajorityInto(&sc.step)
 }
 

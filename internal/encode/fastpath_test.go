@@ -9,33 +9,59 @@ import (
 
 // encodeReference is the pre-recurrence encoder: materialize every
 // timestep bundle, then build each n-gram as the full permute-and-bind
-// product. It is the brute-force oracle the sliding fast path must match
-// bit for bit.
+// product. Both bundles count with majorityRef instead of hdc's
+// accumulator or register kernels, so it is a brute-force oracle the
+// sliding fast path must match bit for bit without sharing its bundling
+// code.
 func encodeReference(e *Encoder, window [][]float64) hdc.Vector {
 	c := e.cfg
 	steps := make([]hdc.Vector, len(window))
-	bound := hdc.New(c.Dim)
-	stepAcc := hdc.NewAccumulator(c.Dim)
+	bound := make([]hdc.Vector, c.Sensors)
 	for t, row := range window {
-		stepAcc.Reset()
 		for s, x := range row {
-			e.sensorIDs[s].BindInto(e.levels[e.Quantize(x)], &bound)
-			stepAcc.Add(bound, 1)
+			bound[s] = e.sensorIDs[s].Bind(e.levels[e.Quantize(x)])
 		}
-		steps[t] = stepAcc.Majority()
+		steps[t] = majorityRef(bound)
 	}
-	winAcc := hdc.NewAccumulator(c.Dim)
-	gram := hdc.New(c.Dim)
+	var grams []hdc.Vector
 	shifted := hdc.New(c.Dim)
 	for t := 0; t+c.NGram <= len(steps); t++ {
-		steps[t].PermuteInto(c.NGram-1, &gram)
+		gram := steps[t].Permute(c.NGram - 1)
 		for k := 1; k < c.NGram; k++ {
 			steps[t+k].PermuteInto(c.NGram-1-k, &shifted)
 			gram.BindInto(shifted, &gram)
 		}
-		winAcc.Add(gram, 1)
+		grams = append(grams, gram)
 	}
-	return winAcc.Majority()
+	return majorityRef(grams)
+}
+
+// majorityRef bundles vs with one plain integer counter per bit: +1 for a
+// one bit, -1 for a zero bit. A zero total takes bit splitmix64(i) & 1,
+// the deterministic tie rule hdc's Majority documents.
+func majorityRef(vs []hdc.Vector) hdc.Vector {
+	out := hdc.New(vs[0].Dim())
+	for i := range out.Dim() {
+		total := 0
+		for _, v := range vs {
+			total += 2*v.Bit(i) - 1
+		}
+		switch {
+		case total > 0:
+			out.SetBit(i, 1)
+		case total == 0:
+			out.SetBit(i, int(splitmix64(uint64(i))&1))
+		}
+	}
+	return out
+}
+
+// splitmix64 is the SplitMix64 finalizer behind the tie rule.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 func randomWindow(rng *rand.Rand, timesteps, sensors int) [][]float64 {
@@ -51,9 +77,11 @@ func randomWindow(rng *rand.Rand, timesteps, sensors int) [][]float64 {
 }
 
 // TestEncodeMatchesBruteForceOracle sweeps n-gram lengths, window lengths
-// (including windows exactly one n-gram long), and sensor counts on both
-// sides of the fused-bundle lane budget, asserting the sliding recurrence
-// plus bound-pair cache is byte-identical to the direct product.
+// (including windows exactly one n-gram long, windows whose grams overflow
+// the gram block, and windows past the accumulator's 255-add staging cap),
+// and sensor counts on both sides of the fused-bundle lane budget, asserting
+// the sliding recurrence, bound-pair cache and blocked window bundle are
+// byte-identical to the direct product.
 func TestEncodeMatchesBruteForceOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	for _, tc := range []struct {
@@ -64,6 +92,7 @@ func TestEncodeMatchesBruteForceOracle(t *testing.T) {
 		{3, 3, 4}, {3, 16, 4}, {3, 64, 4},
 		{5, 5, 2}, {5, 23, 2},
 		{7, 40, 1},
+		{3, 67, 4}, {2, 257, 2}, {3, 300, 4}, {1, 600, 3},
 		{3, 12, hdc.BundleRowsMax},     // largest fused bundle
 		{3, 12, hdc.BundleRowsMax + 2}, // accumulator fallback path
 	} {
@@ -120,6 +149,36 @@ func TestEncodeIntoZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EncodeInto allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestFailedWindowLeavesScratchReusable encodes a window that fails part
+// way, after its gram block already holds grams, then a good window on the
+// same Scratch, as Encode's pool hands a scratch to the next request even
+// after an error. The good window must encode exactly as on a fresh Scratch.
+func TestFailedWindowLeavesScratchReusable(t *testing.T) {
+	enc, err := New(Config{Dim: 512, Sensors: 3, Levels: 8, NGram: 3, Min: -3, Max: 3, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(33, 34))
+	bad := randomWindow(rng, 64, 3)
+	bad[30] = bad[30][:2]
+	good := randomWindow(rng, 67, 3)
+	sc := enc.NewScratch()
+	got := hdc.New(512)
+	if err := enc.EncodeInto(sc, bad, &got); err == nil {
+		t.Fatal("accepted a timestep with the wrong sensor count")
+	}
+	if err := enc.EncodeInto(sc, good, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := hdc.New(512)
+	if err := enc.EncodeInto(enc.NewScratch(), good, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("a failed window changed the next encode on the same Scratch")
 	}
 }
 

@@ -19,9 +19,10 @@ import (
 // quantizes to zero is a no-op) and a counter saturates at ±(2^31 - 1) —
 // about ±8M accumulated units — rather than wrapping. The hot path — adds
 // with weight exactly ±1, which is all that encoding and single-shot
-// training ever issue — never touches the int32 counters at all: it ripples
-// the vector's words through a small bit-sliced staging battery (stagePlanes
-// uint64 planes per word, i.e. 64 counters advance per word operation) and
+// training ever issue — never touches the int32 counters at all: it adds
+// the vector's words into a small bit-sliced staging battery (stagePlanes
+// uint64 planes per word, i.e. 64 counters advance per word operation),
+// one ripple per Add or one carry-save count per eight rows in AddRows, and
 // only expands to int32 when the battery fills, a fractional-weight add
 // arrives, or a reader needs the totals. Majority on a battery-only
 // accumulator binarizes straight from the planes with a word-parallel
@@ -169,26 +170,94 @@ func (a *Accumulator) usedPlanes() int {
 
 // addUnit ripples words (XORed with inv, so inv == ^0 adds the complement)
 // into the staging battery: one carry-propagating add across the planes
-// advances 64 counters per word operation. The carry chain stops as soon as
-// it dies, which keeps the average well under two plane passes.
+// advances 64 counters per word operation. The ripple always runs over the
+// bits.Len(staged+1) planes the new count can reach, with no data-dependent
+// exit, so the loop bound is fixed for the whole vector.
 func (a *Accumulator) addUnit(words []uint64, inv uint64) {
 	if a.staged == stageCap {
 		a.flush()
 	}
 	n := a.dim / WordBits
-	var ps [stagePlanes][]uint64
-	for p := range ps {
-		ps[p] = a.planes[p*n : (p+1)*n : (p+1)*n]
-	}
+	planes := a.planes[:bits.Len(uint(a.staged)+1)*n]
 	for wi, w := range words {
 		carry := w ^ inv
-		for p := 0; carry != 0; p++ {
-			t := ps[p][wi]
-			ps[p][wi] = t ^ carry
+		for i := wi; i < len(planes); i += n {
+			t := planes[i]
+			planes[i] = t ^ carry
 			carry &= t
 		}
 	}
 	a.staged++
+}
+
+// AddRows adds every row with weight 1. The totals equal calling Add(v, 1)
+// on each row in turn, but each group of eight rows is counted in registers
+// by a carry-save adder tree and enters the staging battery through one
+// full-adder chain per chunk, instead of one plane ripple per row; only the
+// rows left over after the last group take Add's ripple. It panics before
+// touching any state if a row's dimension differs.
+//
+//smore:hotpath
+func (a *Accumulator) AddRows(rows ...Vector) {
+	for _, v := range rows {
+		if v.dim != a.dim {
+			panic("hdc: accumulator dimension mismatch")
+		}
+	}
+	for len(rows) > 0 {
+		if a.staged == stageCap {
+			a.flush()
+		}
+		k := min(len(rows), int(stageCap-a.staged))
+		g := k &^ 7
+		if g > 0 {
+			a.addGroups(rows[:g])
+		}
+		for _, v := range rows[g:k] {
+			a.addUnit(v.words, 0)
+		}
+		rows = rows[k:]
+	}
+}
+
+// addGroups adds a multiple of eight rows, at most stageCap-staged of them.
+// Per word, a Harley–Seal tree of seven carry-save adders reduces each group
+// of eight row words to one weight-8 carry, leaving the running ones, twos
+// and fours lanes in registers; the weight-8 carries ripple into a
+// five-lane register counter. The resulting eight-lane count is added to the
+// battery planes with one full-adder chain.
+func (a *Accumulator) addGroups(rows []Vector) {
+	n := a.dim / WordBits
+	planes := a.planes[:bits.Len(uint(a.staged)+uint(len(rows)))*n]
+	for wi := range n {
+		var ones, twos, fours, e0, e1, e2, e3, e4 uint64
+		for i := 0; i+8 <= len(rows); i += 8 {
+			r := rows[i : i+8 : i+8]
+			o, t1 := csa(ones, r[0].words[wi], r[1].words[wi])
+			o, t2 := csa(o, r[2].words[wi], r[3].words[wi])
+			tw, f1 := csa(twos, t1, t2)
+			o, t3 := csa(o, r[4].words[wi], r[5].words[wi])
+			o, t4 := csa(o, r[6].words[wi], r[7].words[wi])
+			tw, f2 := csa(tw, t3, t4)
+			fo, eights := csa(fours, f1, f2)
+			ones, twos, fours = o, tw, fo
+			c := e0 & eights
+			e0 ^= eights
+			e1, c = e1^c, e1&c
+			e2, c = e2^c, e2&c
+			e3, c = e3^c, e3&c
+			e4 ^= c
+		}
+		count := [stagePlanes]uint64{ones, twos, fours, e0, e1, e2, e3, e4}
+		var carry uint64
+		for p, i := 0, wi; i < len(planes); p, i = p+1, i+n {
+			t, c := planes[i], count[p]
+			u := t ^ c
+			planes[i] = u ^ carry
+			carry = t&c | u&carry
+		}
+	}
+	a.staged += int32(len(rows))
 }
 
 // flush expands the staging battery into the int32 counters: a battery
@@ -399,9 +468,7 @@ func Bundle(vs ...Vector) Vector {
 		panic("hdc: Bundle of no vectors")
 	}
 	acc := NewAccumulator(vs[0].dim)
-	for _, v := range vs {
-		acc.Add(v, 1)
-	}
+	acc.AddRows(vs...)
 	return acc.Majority()
 }
 

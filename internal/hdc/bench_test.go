@@ -51,3 +51,22 @@ func BenchmarkBundle(b *testing.B) {
 		acc.Majority()
 	}
 }
+
+// BenchmarkAccumulatorAddRows bundles one window's worth of n-grams (62 rows
+// at dim 4096, a 64-step window with trigrams) through the carry-save path.
+func BenchmarkAccumulatorAddRows(b *testing.B) {
+	rng := testRNG(104)
+	vs := make([]Vector, 62)
+	for i := range vs {
+		vs[i] = Random(rng, benchDim)
+	}
+	acc := NewAccumulator(benchDim)
+	dst := New(benchDim)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		acc.Reset()
+		acc.AddRows(vs...)
+		acc.MajorityInto(&dst)
+	}
+}

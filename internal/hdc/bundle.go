@@ -60,7 +60,8 @@ func csa(a, b, c uint64) (sum, carry uint64) {
 // Two inputs: count > 1 needs both bits; count == 1 never ties, count == 0
 // loses, so the only tie is the both-or-neither middle, count == 1.
 func bundle2(d, ties []uint64, vs []Vector) {
-	a, b := vs[0].words, vs[1].words
+	n := len(d)
+	a, b, ties := vs[0].words[:n], vs[1].words[:n], ties[:n]
 	for i := range d {
 		x, y := a[i], b[i]
 		d[i] = x&y | (x^y)&ties[i]
@@ -69,7 +70,8 @@ func bundle2(d, ties []uint64, vs []Vector) {
 
 // Three inputs: the textbook majority-of-3, no ties possible.
 func bundle3(d []uint64, vs []Vector) {
-	a, b, c := vs[0].words, vs[1].words, vs[2].words
+	n := len(d)
+	a, b, c := vs[0].words[:n], vs[1].words[:n], vs[2].words[:n]
 	for i := range d {
 		x, y, z := a[i], b[i], c[i]
 		d[i] = x&y | z&(x^y)
@@ -79,7 +81,9 @@ func bundle3(d []uint64, vs []Vector) {
 // Four inputs, threshold 2: count = 4f + 2tw + o; count > 2 iff f or
 // (tw and o); count == 2 (the tie) iff tw alone.
 func bundle4(d, ties []uint64, vs []Vector) {
-	a, b, c, e := vs[0].words, vs[1].words, vs[2].words, vs[3].words
+	n := len(d)
+	a, b, c, e := vs[0].words[:n], vs[1].words[:n], vs[2].words[:n], vs[3].words[:n]
+	ties = ties[:n]
 	for i := range d {
 		s1, c1 := csa(a[i], b[i], c[i])
 		o := s1 ^ e[i]
@@ -92,7 +96,8 @@ func bundle4(d, ties []uint64, vs []Vector) {
 
 // Five inputs, threshold 2: count = 4f + 2tw + o > 2 iff f or (tw and o).
 func bundle5(d []uint64, vs []Vector) {
-	a, b, c, e, g := vs[0].words, vs[1].words, vs[2].words, vs[3].words, vs[4].words
+	n := len(d)
+	a, b, c, e, g := vs[0].words[:n], vs[1].words[:n], vs[2].words[:n], vs[3].words[:n], vs[4].words[:n]
 	for i := range d {
 		s1, c1 := csa(a[i], b[i], c[i])
 		o, c2 := csa(s1, e[i], g[i])
@@ -105,7 +110,9 @@ func bundle5(d []uint64, vs []Vector) {
 // Six inputs, threshold 3: count = 4f + 2tw + o > 3 iff f; tie at 3 iff
 // tw and o without f.
 func bundle6(d, ties []uint64, vs []Vector) {
-	a, b, c, e, g, h := vs[0].words, vs[1].words, vs[2].words, vs[3].words, vs[4].words, vs[5].words
+	n := len(d)
+	a, b, c, e, g, h := vs[0].words[:n], vs[1].words[:n], vs[2].words[:n], vs[3].words[:n], vs[4].words[:n], vs[5].words[:n]
+	ties = ties[:n]
 	for i := range d {
 		s1, c1 := csa(a[i], b[i], c[i])
 		s2, c2 := csa(e[i], g[i], h[i])
@@ -118,7 +125,9 @@ func bundle6(d, ties []uint64, vs []Vector) {
 
 // Seven inputs, threshold 3: count = 4f + 2tw + o > 3 iff f, no ties.
 func bundle7(d []uint64, vs []Vector) {
-	a, b, c, e, g, h, j := vs[0].words, vs[1].words, vs[2].words, vs[3].words, vs[4].words, vs[5].words, vs[6].words
+	n := len(d)
+	a, b, c, e, g, h := vs[0].words[:n], vs[1].words[:n], vs[2].words[:n], vs[3].words[:n], vs[4].words[:n], vs[5].words[:n]
+	j := vs[6].words[:n]
 	for i := range d {
 		s1, c1 := csa(a[i], b[i], c[i])
 		s2, c2 := csa(e[i], g[i], h[i])
@@ -131,7 +140,9 @@ func bundle7(d []uint64, vs []Vector) {
 // Eight inputs, threshold 4: count = 8e + 4fo + 2tw + o; count > 4 iff e
 // or fo with any lower bit; the tie at 4 is fo alone.
 func bundle8(d, ties []uint64, vs []Vector) {
-	a, b, c, e8, g, h, j, l := vs[0].words, vs[1].words, vs[2].words, vs[3].words, vs[4].words, vs[5].words, vs[6].words, vs[7].words
+	n := len(d)
+	a, b, c, e8, g, h := vs[0].words[:n], vs[1].words[:n], vs[2].words[:n], vs[3].words[:n], vs[4].words[:n], vs[5].words[:n]
+	j, l, ties := vs[6].words[:n], vs[7].words[:n], ties[:n]
 	for i := range d {
 		s1, c1 := csa(a[i], b[i], c[i])
 		s2, c2 := csa(e8[i], g[i], h[i])
@@ -150,7 +161,9 @@ func bundle8(d, ties []uint64, vs []Vector) {
 // Nine inputs, threshold 4: count > 4 iff the eights bit, or the fours bit
 // with any lower bit set; odd count, so no ties.
 func bundle9(d []uint64, vs []Vector) {
-	a, b, c, e9, g, h, j, l, m := vs[0].words, vs[1].words, vs[2].words, vs[3].words, vs[4].words, vs[5].words, vs[6].words, vs[7].words, vs[8].words
+	n := len(d)
+	a, b, c, e9, g, h := vs[0].words[:n], vs[1].words[:n], vs[2].words[:n], vs[3].words[:n], vs[4].words[:n], vs[5].words[:n]
+	j, l, m := vs[6].words[:n], vs[7].words[:n], vs[8].words[:n]
 	for i := range d {
 		s1, c1 := csa(a[i], b[i], c[i])
 		s2, c2 := csa(e9[i], g[i], h[i])

@@ -160,7 +160,9 @@ func (r *refAccumulator) majority() Vector {
 // reference through the same fuzzer-chosen op sequence and demands exactly
 // equal Majority outputs, ties included. Weights are sixteenth-integers so
 // both the fixed-point and the float64 arithmetic are exact and the two
-// implementations must agree bit for bit.
+// implementations must agree bit for bit. Op 0xfe adds a batch of 0 to 300
+// random rows through AddRows, which the reference mirrors as unit adds, so
+// batches can cross the staging cap after staged ±1 adds.
 func FuzzAccumulatorParity(f *testing.F) {
 	rng := testRNG(0xacc)
 	seed := make([]byte, 80)
@@ -169,6 +171,9 @@ func FuzzAccumulatorParity(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte{0, 1, 2, 3, 255, 4, 128, 9})
+	// A staged unit add, then batches of 200 and 100 rows: the second
+	// crosses the staging cap part way.
+	f.Add(append(append([]byte{16}, seed[:16]...), 0xfe, 200, 0, 0xfe, 100, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const dim = 128
 		acc := NewAccumulator(dim)
@@ -180,6 +185,17 @@ func FuzzAccumulatorParity(f *testing.F) {
 			case op == 0xff: // occasional reset
 				acc.Reset()
 				ref.counts = make([]float64, dim)
+			case op == 0xfe: // a batch of unit rows
+				var b [2]byte
+				data = data[copy(b[:], data):]
+				seed := binary.LittleEndian.Uint16(b[:])
+				rows := make([]Vector, int(seed)%301)
+				rowRNG := testRNG(uint64(seed))
+				for i := range rows {
+					rows[i] = Random(rowRNG, dim)
+					ref.add(rows[i], 1)
+				}
+				acc.AddRows(rows...)
 			default:
 				// Sixteenth-integer weight in [-8, 8): exactly
 				// representable in both fixed point and float64.

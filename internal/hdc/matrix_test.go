@@ -2,6 +2,7 @@ package hdc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -173,8 +174,8 @@ func TestMajorityIntoMatchesMajority(t *testing.T) {
 	}
 }
 
-// TestWideStagingMatchesFlushedCounts drives more unit adds than the old
-// 4-plane battery could stage, asserting the staged-only binarization and
+// TestWideStagingMatchesFlushedCounts drives more unit adds than the
+// staging battery holds, asserting the staged-only binarization and
 // the flushed path agree at every count up to past the staging cap.
 func TestWideStagingMatchesFlushedCounts(t *testing.T) {
 	rng := testRNG(28)
@@ -193,5 +194,69 @@ func TestWideStagingMatchesFlushedCounts(t *testing.T) {
 		if got, want := staged.Majority(), oracle.Majority(); !got.Equal(want) {
 			t.Fatalf("after %d adds: staged majority diverged from flushed", i+1)
 		}
+	}
+}
+
+// TestAddRowsMatchesAdd pins AddRows to one Add(v, 1) per row: from empty,
+// partly staged, nearly full and flushed starting states, and for row counts
+// on both sides of the eight-row groups and the staging cap, the two
+// accumulators must end in the same internal state, not only the same
+// majority.
+func TestAddRowsMatchesAdd(t *testing.T) {
+	const dim = 192
+	rng := testRNG(30)
+	rows := make([]Vector, 600)
+	for i := range rows {
+		rows[i] = Random(rng, dim)
+	}
+	for _, pre := range []int{0, 1, 7, 200, 250, 254, stageCap} {
+		for _, weighted := range []bool{false, true} {
+			for _, k := range []int{0, 1, 7, 8, 9, 62, 64, 255, 256, 300, 600} {
+				want, got := NewAccumulator(dim), NewAccumulator(dim)
+				for _, acc := range []*Accumulator{want, got} {
+					if weighted {
+						acc.Add(rows[599], 2.5)
+					}
+					for _, v := range rows[:pre] {
+						acc.Add(v, -1)
+					}
+				}
+				for _, v := range rows[:k] {
+					want.Add(v, 1)
+				}
+				got.AddRows(rows[:k]...)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("pre=%d weighted=%v k=%d: AddRows state diverged from per-row Add", pre, weighted, k)
+				}
+				if !got.Majority().Equal(want.Majority()) {
+					t.Fatalf("pre=%d weighted=%v k=%d: AddRows majority diverged", pre, weighted, k)
+				}
+			}
+		}
+	}
+}
+
+// TestAddRowsDimMismatchLeavesStateUntouched checks that a bad row anywhere
+// in the batch panics before any row is added.
+func TestAddRowsDimMismatchLeavesStateUntouched(t *testing.T) {
+	rng := testRNG(31)
+	rows := make([]Vector, 20)
+	for i := range rows {
+		rows[i] = Random(rng, 128)
+	}
+	rows[17] = New(64)
+	acc := NewAccumulator(128)
+	acc.Add(Random(rng, 128), 1)
+	before := acc.Majority()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AddRows accepted a row of the wrong dimension")
+			}
+		}()
+		acc.AddRows(rows...)
+	}()
+	if acc.staged != 1 || !acc.Majority().Equal(before) {
+		t.Fatal("AddRows changed the accumulator before rejecting a row")
 	}
 }

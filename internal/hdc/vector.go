@@ -127,8 +127,10 @@ func (v Vector) Bind(u Vector) Vector {
 func (v Vector) BindInto(u Vector, dst *Vector) {
 	mustSameDim(v, u)
 	mustSameDim(v, *dst)
-	for i, w := range v.words {
-		dst.words[i] = w ^ u.words[i]
+	d := dst.words
+	a, b := v.words[:len(d)], u.words[:len(d)]
+	for i := range d {
+		d[i] = a[i] ^ b[i]
 	}
 }
 
@@ -162,19 +164,31 @@ func (v Vector) PermuteInto(k int, dst *Vector) {
 	}
 	// dst[i] = v[j]<<bitShift | v[j-1]>>(64-bitShift) with j = (i - wordShift)
 	// mod n. Only the wrap output j == 0 needs modular indexing; the two
-	// remaining runs read adjacent source pairs directly, so iterations
-	// carry no dependency and pipeline freely.
-	inv := WordBits - bitShift
-	dst.words[wordShift] = v.words[0]<<bitShift | v.words[n-1]>>inv
-	src := v.words
-	out := dst.words[wordShift+1:]
-	for i := range out {
-		out[i] = src[i+1]<<bitShift | src[i]>>inv
+	// remaining runs read adjacent source pairs directly.
+	dst.words[wordShift] = v.words[0]<<bitShift | v.words[n-1]>>(WordBits-bitShift)
+	shiftWords(dst.words[wordShift+1:], v.words, bitShift)
+	shiftWords(dst.words[:wordShift], v.words[n-wordShift-1:], bitShift)
+}
+
+// shiftWords writes out[i] = src[i+1]<<s | src[i]>>(64-s) for every i, with
+// 0 < s < 64; src must hold at least len(out)+1 words. Each source word is
+// rotated once and carried forward: the low s bits of the rotated previous
+// word are exactly the bits src[i]>>(64-s) contributes, so one rotate and a
+// mask merge replace the two shifts, and the loop carries no bounds checks.
+// It stays out of line: inlined into PermuteInto, the loop's registers spill.
+//
+//go:noinline
+func shiftWords(out, src []uint64, s uint) {
+	if len(out) == 0 {
+		return
 	}
-	src = v.words[n-wordShift-1:]
-	out = dst.words[:wordShift]
+	low := uint64(1)<<s - 1
+	prev := bits.RotateLeft64(src[0], int(s))
+	src = src[1 : len(out)+1]
 	for i := range out {
-		out[i] = src[i+1]<<bitShift | src[i]>>inv
+		r := bits.RotateLeft64(src[i], int(s))
+		out[i] = r&^low | prev&low
+		prev = r
 	}
 }
 

@@ -471,9 +471,7 @@ func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool) (A
 		dm := newDomainModel(-1, cfg)
 		// Bundle the target distribution and weight each source domain's
 		// contribution to the initial target prototypes by its similarity.
-		for _, hv := range targets {
-			dm.domAcc.Add(hv, 1)
-		}
+		dm.domAcc.AddRows(targets...)
 		weights := m.domainWeights(dm.domAcc.Majority())
 		for i, src := range m.domains {
 			for c := range dm.classAcc {
@@ -486,9 +484,7 @@ func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool) (A
 	} else {
 		// Fold the new batch into the target domain prototype so later
 		// domain-similarity decisions see the full target distribution.
-		for _, hv := range targets {
-			tgt.domAcc.Add(hv, 1)
-		}
+		tgt.domAcc.AddRows(targets...)
 		tgt.domProt = tgt.domAcc.Majority()
 	}
 

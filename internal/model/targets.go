@@ -270,8 +270,6 @@ func (m *Ensemble) BatchSimilarity(hvs []hdc.Vector) (sim float64, ok bool, err 
 		return 0, false, nil
 	}
 	acc := hdc.NewAccumulator(m.cfg.Dim)
-	for _, hv := range hvs {
-		acc.Add(hv, 1)
-	}
+	acc.AddRows(hvs...)
 	return acc.Majority().Cosine(t.domProt), true, nil
 }
