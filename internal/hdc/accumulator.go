@@ -28,6 +28,13 @@ import (
 // accumulator binarizes straight from the planes with a word-parallel
 // magnitude comparison, never materializing per-bit integers.
 //
+// Weighted batches use the battery too. AddWeighted splits the quantized
+// weights into their bits; for each bit b it counts the rows carrying b on
+// the battery and expands the count into the int32 counters shifted left
+// by b, so a batch costs one counter pass per weight bit and 255-row chunk
+// instead of one per row. Small batches, negative weights and batches that
+// could reach a rail take one Add per row instead.
+//
 // An Accumulator is not safe for concurrent use: because of the lazy
 // battery, even Majority may rewrite internal state. The one read-only
 // exception is the `other` argument of AddScaled, so a shared source
@@ -42,8 +49,10 @@ type Accumulator struct {
 }
 
 const (
-	// weightScale is the fixed-point scale of the int32 counters.
-	weightScale = 256
+	// weightScale is the fixed-point scale of the int32 counters: one unit
+	// add is 1<<weightShift counter units.
+	weightShift = 8
+	weightScale = 1 << weightShift
 	// stagePlanes is the width of the bit-sliced staging counter; it can
 	// hold stageCap = 2^stagePlanes - 1 unit adds before a flush. Eight
 	// planes let a whole window bundle (hundreds of n-grams) binarize
@@ -57,6 +66,11 @@ const (
 	// (and a doubling of it in the branchless inner loop) stays well
 	// inside int32.
 	maxWeight = 1 << 20
+	// addWeightedMinRows is the smallest batch AddWeighted counts bit by
+	// bit. Below it one Add per row is faster: the batched path pays a
+	// counter pass per weight bit however few rows carry that bit
+	// (BenchmarkAccumulatorAddWeighted, PAPER.md "Performance").
+	addWeightedMinRows = 32
 )
 
 // tieCache memoizes the per-dimension tie-break words: bit i of the mask is
@@ -144,20 +158,98 @@ func (a *Accumulator) Add(v Vector, weight float64) {
 		// one-bit contributes -1 and every zero-bit +1.
 		a.addUnit(v.words, ^uint64(0))
 	default:
-		if !(math.Abs(weight) <= maxWeight) {
-			// Catches NaN, ±Inf, and magnitudes whose scaled value
-			// would hit the implementation-defined float-to-int32
-			// conversion; fail loudly instead of corrupting counters
-			// architecture-dependently.
-			panic("hdc: accumulator weight outside ±2^20")
-		}
-		wgt := int32(math.Round(weight * weightScale))
+		wgt := quantize(weight)
 		if wgt == 0 {
 			return
 		}
 		a.flush()
 		a.addWeighted(v.words, wgt)
 	}
+}
+
+// quantize converts a weight to fixed-point counter units. It panics on
+// NaN, ±Inf, and magnitudes whose scaled value would hit the
+// implementation-defined float-to-int32 conversion, failing loudly instead
+// of corrupting counters architecture-dependently.
+func quantize(weight float64) int32 {
+	if !(math.Abs(weight) <= maxWeight) {
+		panic("hdc: accumulator weight outside ±2^20")
+	}
+	return int32(math.Round(weight * weightScale))
+}
+
+// AddWeighted adds every row with its weight. The totals equal calling
+// Add(rows[i], weights[i]) for each i in order. It panics before touching
+// any state if the lengths differ, a row's dimension differs, or a weight
+// is one Add would reject.
+//
+// A batch of at least addWeightedMinRows rows with no negative quantized
+// weight is counted bit by bit: for each bit b of the quantized weights,
+// the rows carrying b enter the staging battery by the carry-save path of
+// AddRows, at most stageCap at a time, and each chunk is expanded into the
+// int32 counters shifted left by b. The batched path runs only when no
+// partial sum can reach a rail, where every order of adds gives the same
+// counters; smaller batches, negative weights and batches that could
+// saturate take one Add per row, keeping Add's saturation behaviour.
+func (a *Accumulator) AddWeighted(rows []Vector, weights []float64) {
+	if len(rows) != len(weights) {
+		panic("hdc: AddWeighted needs one weight per row")
+	}
+	for _, v := range rows {
+		if v.dim != a.dim {
+			panic("hdc: accumulator dimension mismatch")
+		}
+	}
+	// used ORs every quantized weight: it is negative iff one is, and its
+	// bit length is the number of weight bits to count.
+	q := make([]int32, len(weights))
+	var total int64
+	var used int32
+	for i, w := range weights {
+		q[i] = quantize(w)
+		total += int64(q[i])
+		used |= q[i]
+	}
+	if len(rows) < addWeightedMinRows || used < 0 || !a.fits(total) {
+		for i, v := range rows {
+			a.Add(v, weights[i])
+		}
+		return
+	}
+	a.addBits(rows, q, used)
+}
+
+// addBits is AddWeighted's batched path: rows with non-negative quantized
+// weights q, which OR to used, such that no partial sum can saturate a
+// counter.
+func (a *Accumulator) addBits(rows []Vector, q []int32, used int32) {
+	a.flush()
+	carriers := make([]Vector, 0, len(rows))
+	for b := range bits.Len32(uint32(used)) {
+		carriers = carriers[:0]
+		for i, v := range rows {
+			if q[i]>>b&1 != 0 {
+				carriers = append(carriers, v)
+			}
+		}
+		for lo := 0; lo < len(carriers); lo += stageCap {
+			a.stage(carriers[lo:min(lo+stageCap, len(carriers))])
+			a.expand(uint(b))
+		}
+	}
+}
+
+// fits reports whether adding total non-negative fixed-point units to the
+// largest counter, on top of the staged battery, stays within int32: then
+// no partial sum of the batch can saturate.
+func (a *Accumulator) fits(total int64) bool {
+	var peak int64
+	if a.dirty {
+		for _, c := range a.counts {
+			peak = max(peak, int64(c), -int64(c))
+		}
+	}
+	return peak+int64(a.staged)*weightScale+total <= math.MaxInt32
 }
 
 // usedPlanes returns how many low staging planes can be nonzero: per-bit
@@ -209,14 +301,20 @@ func (a *Accumulator) AddRows(rows ...Vector) {
 			a.flush()
 		}
 		k := min(len(rows), int(stageCap-a.staged))
-		g := k &^ 7
-		if g > 0 {
-			a.addGroups(rows[:g])
-		}
-		for _, v := range rows[g:k] {
-			a.addUnit(v.words, 0)
-		}
+		a.stage(rows[:k])
 		rows = rows[k:]
+	}
+}
+
+// stage counts at most stageCap-staged rows into the battery with weight
+// 1: each group of eight through addGroups, the rest with one ripple each.
+func (a *Accumulator) stage(rows []Vector) {
+	g := len(rows) &^ 7
+	if g > 0 {
+		a.addGroups(rows[:g])
+	}
+	for _, v := range rows[g:] {
+		a.addUnit(v.words, 0)
 	}
 }
 
@@ -260,13 +358,21 @@ func (a *Accumulator) addGroups(rows []Vector) {
 	a.staged += int32(len(rows))
 }
 
-// flush expands the staging battery into the int32 counters: a battery
-// holding s adds of which ones were 1-bits contributes (2*ones - s) units.
-func (a *Accumulator) flush() {
+// flush expands the staging battery into the int32 counters, each staged
+// ±1 add worth weightScale units.
+func (a *Accumulator) flush() { a.expand(weightShift) }
+
+// expand empties the staging battery into the int32 counters with every
+// staged row worth 2^shift units: a battery holding s rows of which ones
+// were 1-bits contributes (2*ones - s) << shift. AddWeighted expands each
+// chunk of rows carrying weight bit b with shift b. Eight counters' ones
+// counts are gathered at a time, one byte each, with one byteLanes lookup
+// per plane.
+func (a *Accumulator) expand(shift uint) {
 	if a.staged == 0 {
 		return
 	}
-	staged := a.staged
+	staged := int64(a.staged)
 	n := a.dim / WordBits
 	top := a.usedPlanes()
 	var ps [stagePlanes][]uint64
@@ -279,23 +385,39 @@ func (a *Accumulator) flush() {
 			pw[p] = ps[p][wi]
 			ps[p][wi] = 0
 		}
-		c := (*[WordBits]int32)(a.counts[wi*WordBits:])
-		for j := 0; j < WordBits; j++ {
-			ones := int32(0)
+		for k := range WordBits / 8 {
+			// lanes holds the ones counts of counters 8k..8k+7, one per
+			// byte: plane p contributes bit p of each.
+			var lanes uint64
 			for p := 0; p < top; p++ {
-				ones |= int32(pw[p]>>j&1) << p
+				lanes |= byteLanes[byte(pw[p]>>(8*k))] << p
 			}
-			c[j] = satAdd(c[j], (ones<<1-staged)*weightScale)
+			c := (*[8]int32)(a.counts[wi*WordBits+8*k:])
+			for m := range c {
+				ones := int64(lanes >> (8 * m) & 0xff)
+				c[m] = satAdd(c[m], (ones<<1-staged)<<shift)
+			}
 		}
 	}
 	a.staged = 0
 	a.dirty = true
 }
 
+// byteLanes spreads a byte over the low bits of eight bytes: bit m of x is
+// bit 8m of byteLanes[x].
+var byteLanes = func() (t [256]uint64) {
+	for x := range t {
+		for m := range 8 {
+			t[x] |= uint64(x>>m&1) << (8 * m)
+		}
+	}
+	return t
+}()
+
 // satAdd adds two counters with int32 saturation, so a counter that hits a
 // rail sticks there instead of wrapping and flipping its majority sign.
-func satAdd(a, b int32) int32 {
-	s := int64(a) + int64(b)
+func satAdd(a int32, b int64) int32 {
+	s := int64(a) + b
 	switch {
 	case s > math.MaxInt32:
 		return math.MaxInt32
@@ -312,7 +434,7 @@ func (a *Accumulator) addWeighted(words []uint64, wgt int32) {
 	for wi, w := range words {
 		c := (*[WordBits]int32)(a.counts[wi*WordBits:])
 		for j := 0; j < WordBits; j++ {
-			c[j] = satAdd(c[j], int32(w>>j&1)*two-wgt)
+			c[j] = satAdd(c[j], int64(int32(w>>j&1)*two-wgt))
 		}
 	}
 	a.dirty = true

@@ -1,6 +1,9 @@
 package hdc
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 const benchDim = 4096
 
@@ -68,5 +71,46 @@ func BenchmarkAccumulatorAddRows(b *testing.B) {
 		acc.Reset()
 		acc.AddRows(vs...)
 		acc.MajorityInto(&dst)
+	}
+}
+
+// BenchmarkAccumulatorAddWeighted adds n rows at dim 4096 with weights in
+// [1.1, 1.5), the range AdaptBatch's similarity weights fall in, through
+// each of AddWeighted's two paths: one Add per row, and the bit-sliced
+// batch. The crossover between them sets addWeightedMinRows.
+func BenchmarkAccumulatorAddWeighted(b *testing.B) {
+	rng := testRNG(105)
+	for _, n := range []int{1, 16, 32, 64, 1024} {
+		rows := make([]Vector, n)
+		weights := make([]float64, n)
+		q := make([]int32, n)
+		var used int32
+		for i := range rows {
+			rows[i] = Random(rng, benchDim)
+			weights[i] = 1.1 + 0.4*rng.Float64()
+			q[i] = quantize(weights[i])
+			used |= q[i]
+		}
+		acc := NewAccumulator(benchDim)
+		paths := []struct {
+			name string
+			add  func()
+		}{
+			{"per-row", func() {
+				for i, v := range rows {
+					acc.Add(v, weights[i])
+				}
+			}},
+			{"batched", func() { acc.addBits(rows, q, used) }},
+		}
+		for _, p := range paths {
+			b.Run(fmt.Sprintf("rows=%d/%s", n, p.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					acc.Reset()
+					p.add()
+				}
+			})
+		}
 	}
 }

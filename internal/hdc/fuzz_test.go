@@ -162,7 +162,10 @@ func (r *refAccumulator) majority() Vector {
 // both the fixed-point and the float64 arithmetic are exact and the two
 // implementations must agree bit for bit. Op 0xfe adds a batch of 0 to 300
 // random rows through AddRows, which the reference mirrors as unit adds, so
-// batches can cross the staging cap after staged ±1 adds.
+// batches can cross the staging cap after staged ±1 adds. Op 0xfd adds a
+// batch of 0 to 300 random rows through AddWeighted, one sixteenth-integer
+// weight byte per row (missing bytes weigh 0), which the reference mirrors
+// one row at a time.
 func FuzzAccumulatorParity(f *testing.F) {
 	rng := testRNG(0xacc)
 	seed := make([]byte, 80)
@@ -174,6 +177,19 @@ func FuzzAccumulatorParity(f *testing.F) {
 	// A staged unit add, then batches of 200 and 100 rows: the second
 	// crosses the staging cap part way.
 	f.Add(append(append([]byte{16}, seed[:16]...), 0xfe, 200, 0, 0xfe, 100, 0))
+	// A fractional add, then a weighted batch of 300 rows with positive odd
+	// weight bytes: past the batched-path crossover, and 300 rows carry
+	// weight bit 4, so that bit takes a 255-row chunk and a 45-row one.
+	// Then a 40-row batch with negative weights.
+	weighted := append(append([]byte{40}, seed[:16]...), 0xfd, 44, 1)
+	for i := range 300 {
+		weighted = append(weighted, byte(2*(i%64)+1))
+	}
+	weighted = append(weighted, 0xfd, 40, 0)
+	for i := range 40 {
+		weighted = append(weighted, byte(i*37))
+	}
+	f.Add(weighted)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const dim = 128
 		acc := NewAccumulator(dim)
@@ -196,6 +212,21 @@ func FuzzAccumulatorParity(f *testing.F) {
 					ref.add(rows[i], 1)
 				}
 				acc.AddRows(rows...)
+			case op == 0xfd: // a batch of weighted rows
+				var b [2]byte
+				data = data[copy(b[:], data):]
+				seed := binary.LittleEndian.Uint16(b[:])
+				rows := make([]Vector, int(seed)%301)
+				weights := make([]float64, len(rows))
+				wb := make([]byte, len(rows))
+				data = data[copy(wb, data):]
+				rowRNG := testRNG(uint64(seed))
+				for i := range rows {
+					rows[i] = Random(rowRNG, dim)
+					weights[i] = float64(int8(wb[i])) / 16
+					ref.add(rows[i], weights[i])
+				}
+				acc.AddWeighted(rows, weights)
 			default:
 				// Sixteenth-integer weight in [-8, 8): exactly
 				// representable in both fixed point and float64.

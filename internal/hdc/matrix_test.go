@@ -1,6 +1,8 @@
 package hdc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -258,5 +260,148 @@ func TestAddRowsDimMismatchLeavesStateUntouched(t *testing.T) {
 	}()
 	if acc.staged != 1 || !acc.Majority().Equal(before) {
 		t.Fatal("AddRows changed the accumulator before rejecting a row")
+	}
+}
+
+// addWeightedStarts are AddWeighted's starting states: empty, staged (±1
+// adds still in the battery), dirty (after a fractional add) and near-rail
+// (every counter within 2^24 of ±2^31, loaded with UnmarshalBinary, which
+// forces the per-row fallback for any batch holding a 2^20 weight).
+func addWeightedStarts(t *testing.T, rows []Vector) []struct {
+	name string
+	init func(*Accumulator)
+} {
+	t.Helper()
+	dim := rows[0].Dim()
+	rail := make([]byte, MarshaledSize(dim))
+	copy(rail, accMagic)
+	binary.LittleEndian.PutUint32(rail[4:], uint32(dim))
+	rng := testRNG(33)
+	for i := range dim {
+		c := int32(math.MaxInt32 - rng.IntN(1<<24))
+		if i%2 == 1 {
+			c = math.MinInt32 + int32(rng.IntN(1<<24))
+		}
+		binary.LittleEndian.PutUint32(rail[accHeaderSize+i*4:], uint32(c))
+	}
+	return []struct {
+		name string
+		init func(*Accumulator)
+	}{
+		{"empty", func(*Accumulator) {}},
+		{"staged", func(a *Accumulator) {
+			for _, v := range rows[590:597] {
+				a.Add(v, -1)
+			}
+			a.Add(rows[597], 1)
+		}},
+		{"dirty", func(a *Accumulator) { a.Add(rows[598], 2.5) }},
+		{"near-rail", func(a *Accumulator) {
+			if err := a.UnmarshalBinary(rail); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+}
+
+// TestAddWeightedMatchesAdd pins AddWeighted to one Add per row: from every
+// starting state, for batch sizes on both sides of the crossover and of a
+// 255-row chunk, the marshaled counters and the majority must be equal.
+// The positive weights take the batched path wherever the batch is large
+// enough and the start is off the rail; the mixed ones hold negative
+// weights and the rail ones sum past int32, so both take the fallback.
+func TestAddWeightedMatchesAdd(t *testing.T) {
+	const dim = 192
+	rng := testRNG(32)
+	rows := make([]Vector, 600)
+	for i := range rows {
+		rows[i] = Random(rng, dim)
+	}
+	weightSets := map[string][]float64{
+		"positive": {1, 0, 1.0 / 1024, 0.3, 1.17, 2.5, 7.0 / 3, 1.5},
+		"mixed":    {1, -1, 0, -0.6, 1.3, 1.0 / 1024, -2.5},
+		"rail":     {1 << 20},
+	}
+	for _, start := range addWeightedStarts(t, rows) {
+		for name, set := range weightSets {
+			for _, n := range []int{0, 1, addWeightedMinRows - 1, addWeightedMinRows, 255, 256, 600} {
+				weights := make([]float64, n)
+				for i := range weights {
+					weights[i] = set[i%len(set)]
+				}
+				if n > 0 {
+					weights[n/2] = 1 << 20
+				}
+				want, got := NewAccumulator(dim), NewAccumulator(dim)
+				start.init(want)
+				start.init(got)
+				for i, v := range rows[:n] {
+					want.Add(v, weights[i])
+				}
+				got.AddWeighted(rows[:n], weights)
+				if !got.Majority().Equal(want.Majority()) {
+					t.Fatalf("%s/%s/n=%d: AddWeighted majority diverged from per-row Add", start.name, name, n)
+				}
+				gb, err1 := got.MarshalBinary()
+				wb, err2 := want.MarshalBinary()
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if !bytes.Equal(gb, wb) {
+					t.Fatalf("%s/%s/n=%d: AddWeighted counters diverged from per-row Add", start.name, name, n)
+				}
+			}
+		}
+	}
+}
+
+// TestAddWeightedRejectsLeaveStateUntouched checks that a length, dimension
+// or weight error anywhere in a batch panics before any row is added.
+func TestAddWeightedRejectsLeaveStateUntouched(t *testing.T) {
+	const dim = 192
+	rng := testRNG(34)
+	rows := make([]Vector, 600)
+	for i := range rows {
+		rows[i] = Random(rng, dim)
+	}
+	weights := make([]float64, 100)
+	for i := range weights {
+		weights[i] = 1.25
+	}
+	bad := func(i int, w float64) []float64 {
+		out := append([]float64(nil), weights...)
+		out[i] = w
+		return out
+	}
+	shortRow := append(append([]Vector(nil), rows[:99]...), New(64))
+	calls := map[string]func(*Accumulator){
+		"length":    func(a *Accumulator) { a.AddWeighted(rows[:100], weights[:99]) },
+		"dimension": func(a *Accumulator) { a.AddWeighted(shortRow, weights) },
+		"NaN":       func(a *Accumulator) { a.AddWeighted(rows[:100], bad(99, math.NaN())) },
+		"+Inf":      func(a *Accumulator) { a.AddWeighted(rows[:100], bad(50, math.Inf(1))) },
+		"2^21":      func(a *Accumulator) { a.AddWeighted(rows[:100], bad(99, -(1<<21))) },
+	}
+	for _, start := range addWeightedStarts(t, rows) {
+		for name, call := range calls {
+			want, got := NewAccumulator(dim), NewAccumulator(dim)
+			start.init(want)
+			start.init(got)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s/%s: AddWeighted did not panic", start.name, name)
+					}
+				}()
+				call(got)
+			}()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: AddWeighted changed the accumulator before panicking", start.name, name)
+			}
+			gb, err1 := got.MarshalBinary()
+			wb, err2 := want.MarshalBinary()
+			if err1 != nil || err2 != nil || !bytes.Equal(gb, wb) {
+				t.Fatalf("%s/%s: marshaled state changed by a rejected batch", start.name, name)
+			}
+		}
 	}
 }

@@ -9,9 +9,11 @@
 package model
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -420,7 +422,10 @@ func (s *AdaptStats) Accumulate(o AdaptStats) {
 // every target sample and hands the score vectors to the installed
 // Strategy: the ConfidenceRule picks pseudo-label candidates, the Schedule
 // sets that epoch's acceptance threshold and per-class TopFrac cap, and
-// the UpdateRule folds the accepted samples into the target accumulators.
+// the UpdateRule folds the accepted samples into the target accumulators,
+// one Apply call per pseudo-class holding all of that class's accepted
+// samples, so the bundle and ema rules weight them with one
+// hdc.Accumulator.AddWeighted batch.
 // The default strategy reproduces the paper's fixed recipe byte-for-byte:
 // best-vs-second-best margin against cfg.Confidence, constant TopFrac,
 // similarity-weighted bundling.
@@ -502,6 +507,9 @@ func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool) (A
 	byClass := make([][]candidate, cfg.Classes)
 	classOf := make([]int, len(targets))
 	scoreBuf := make([]float64, len(targets)*cfg.Classes)
+	// One class's kept rows and similarities, handed to the updater at once.
+	var keptHVs []hdc.Vector
+	var keptSims []float64
 	for epoch := range cfg.AdaptEpochs {
 		threshold, topFrac := strat.Schedule.Epoch(epoch, cfg.AdaptEpochs, cfg)
 		stats.Epochs++
@@ -529,22 +537,25 @@ func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool) (A
 		// order fully deterministic.
 		updated := false
 		for c, cands := range byClass {
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].conf != cands[j].conf {
-					return cands[i].conf > cands[j].conf
-				}
-				return cands[i].idx < cands[j].idx
-			})
 			if len(cands) == 0 {
 				continue
 			}
-			keep := max(1, int(float64(len(cands))*topFrac))
-			for _, cand := range cands[:min(keep, len(cands))] {
-				updater.Apply(tgt.classAcc, c, targets[cand.idx], cand.sim)
-				tgt.classCount[c]++
-				stats.PseudoLabels++
-				updated = true
+			slices.SortFunc(cands, func(x, y candidate) int {
+				if o := cmp.Compare(y.conf, x.conf); o != 0 {
+					return o
+				}
+				return cmp.Compare(x.idx, y.idx)
+			})
+			kept := cands[:min(max(1, int(float64(len(cands))*topFrac)), len(cands))]
+			keptHVs, keptSims = keptHVs[:0], keptSims[:0]
+			for _, cand := range kept {
+				keptHVs = append(keptHVs, targets[cand.idx])
+				keptSims = append(keptSims, cand.sim)
 			}
+			updater.Apply(tgt.classAcc, c, keptHVs, keptSims)
+			tgt.classCount[c] += int64(len(kept))
+			stats.PseudoLabels += len(kept)
+			updated = true
 		}
 		updater.FinishEpoch(tgt.classAcc)
 		if !updated {

@@ -552,3 +552,30 @@ func BenchmarkAdapt(b *testing.B) {
 		m.ResetAdaptation()
 	}
 }
+
+// BenchmarkAdaptBatchLarge adapts 2,000 targets over 5 classes, so every
+// class batch of the update runs AddWeighted's bit-sliced path
+// (BenchmarkAdapt's batches stay below its crossover).
+func BenchmarkAdaptBatchLarge(b *testing.B) {
+	rng := testRNG(6)
+	protos, samples := cluster(rng, 5, 40, testDim/3, 0)
+	m, err := New(Config{Dim: testDim, Classes: 5, RetrainEpochs: 1, AdaptEpochs: 3, Confidence: 0.005, AdaptRate: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Train(samples); err != nil {
+		b.Fatal(err)
+	}
+	var targets []hdc.Vector
+	for i := range 2000 {
+		targets = append(targets, flip(rng, protos[i%5], testDim/4+rng.IntN(testDim/8)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for b.Loop() {
+		if _, err := m.AdaptBatch(targets, 0); err != nil {
+			b.Fatal(err)
+		}
+		m.ResetAdaptation()
+	}
+}

@@ -43,13 +43,14 @@ type UpdateRule interface {
 }
 
 // Updater is the per-adaptation-run state of an UpdateRule. Apply folds
-// one accepted sample into class acc[class]; calls arrive in a fixed order
-// (class ascending, most confident first within a class), so the adapted
-// model is byte-identical for every worker count. FinishEpoch runs after
-// every accepted sample of an epoch has been applied, before the
-// prototypes are rebuilt.
+// one pseudo-class's accepted samples of an epoch into class acc[class]:
+// hvs[i] with similarity sims[i], most confident first. Each epoch calls it
+// at most once per class, in ascending class order, so the adapted model is
+// byte-identical for every worker count; Apply may not retain hvs or sims,
+// whose buffers the caller reuses. FinishEpoch runs after every accepted
+// sample of an epoch has been applied, before the prototypes are rebuilt.
 type Updater interface {
-	Apply(acc []*hdc.Accumulator, class int, hv hdc.Vector, sim float64)
+	Apply(acc []*hdc.Accumulator, class int, hvs []hdc.Vector, sims []float64)
 	FinishEpoch(acc []*hdc.Accumulator)
 }
 
@@ -305,6 +306,24 @@ func effTopFrac(f float64) float64 {
 	return f
 }
 
+// updateWeights holds a rate and a reused buffer of per-sample update
+// weights.
+type updateWeights struct {
+	rate float64
+	buf  []float64
+}
+
+// of returns rate·(1+sim)/2 for every similarity: the closer a sample
+// already is to the winning prototype, the more it reinforces it. The
+// slice is valid until the next call.
+func (w *updateWeights) of(sims []float64) []float64 {
+	w.buf = w.buf[:0]
+	for _, sim := range sims {
+		w.buf = append(w.buf, w.rate*simWeight(sim))
+	}
+	return w.buf
+}
+
 // BundleUpdate is the paper's update: each accepted sample is added to its
 // pseudo-class accumulator with weight AdaptRate·(1+sim)/2, permanently.
 type BundleUpdate struct{}
@@ -313,17 +332,17 @@ type BundleUpdate struct{}
 func (BundleUpdate) Name() string { return "bundle" }
 
 // NewUpdater implements UpdateRule.
-func (BundleUpdate) NewUpdater(cfg Config) Updater { return bundleUpdater{rate: cfg.AdaptRate} }
-
-type bundleUpdater struct{ rate float64 }
-
-func (u bundleUpdater) Apply(acc []*hdc.Accumulator, class int, hv hdc.Vector, sim float64) {
-	// Similarity-proportional update: the closer the sample already is to
-	// the winning prototype, the more it reinforces it.
-	acc[class].Add(hv, u.rate*simWeight(sim))
+func (BundleUpdate) NewUpdater(cfg Config) Updater {
+	return &bundleUpdater{updateWeights{rate: cfg.AdaptRate}}
 }
 
-func (bundleUpdater) FinishEpoch([]*hdc.Accumulator) {}
+type bundleUpdater struct{ weights updateWeights }
+
+func (u *bundleUpdater) Apply(acc []*hdc.Accumulator, class int, hvs []hdc.Vector, sims []float64) {
+	acc[class].AddWeighted(hvs, u.weights.of(sims))
+}
+
+func (*bundleUpdater) FinishEpoch([]*hdc.Accumulator) {}
 
 // defaultEMAMomentum is the history weight μ of EMAUpdate when Momentum is
 // left zero.
@@ -351,7 +370,7 @@ func (u EMAUpdate) NewUpdater(cfg Config) Updater {
 		mom = defaultEMAMomentum
 	}
 	return &emaUpdater{
-		rate:     cfg.AdaptRate,
+		weights:  updateWeights{rate: cfg.AdaptRate},
 		momentum: mom,
 		dim:      cfg.Dim,
 		delta:    make([]*hdc.Accumulator, cfg.Classes),
@@ -360,21 +379,27 @@ func (u EMAUpdate) NewUpdater(cfg Config) Updater {
 }
 
 type emaUpdater struct {
-	rate     float64
+	weights  updateWeights
 	momentum float64
 	dim      int
 	delta    []*hdc.Accumulator // per-class epoch staging, lazily allocated
 	touched  []bool
 }
 
-func (u *emaUpdater) Apply(acc []*hdc.Accumulator, class int, hv hdc.Vector, sim float64) {
+func (u *emaUpdater) Apply(acc []*hdc.Accumulator, class int, hvs []hdc.Vector, sims []float64) {
+	u.stage(class).AddWeighted(hvs, u.weights.of(sims))
+}
+
+// stage returns class's delta accumulator, allocating it on first use, and
+// marks the class for FinishEpoch.
+func (u *emaUpdater) stage(class int) *hdc.Accumulator {
 	d := u.delta[class]
 	if d == nil {
 		d = hdc.NewAccumulator(u.dim)
 		u.delta[class] = d
 	}
-	d.Add(hv, u.rate*simWeight(sim))
 	u.touched[class] = true
+	return d
 }
 
 func (u *emaUpdater) FinishEpoch(acc []*hdc.Accumulator) {

@@ -3,7 +3,9 @@ package model
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"go-arxiv/smore/internal/hdc"
@@ -412,5 +414,144 @@ func TestErrInvalidConfigTyped(t *testing.T) {
 	cfg.Dim = 7
 	if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("dim Validate err = %v, want ErrInvalidConfig", err)
+	}
+}
+
+// perRowRule is a reference UpdateRule that adds every accepted sample with
+// its own Add(hv, rate·simWeight(sim)) call, as the update loop did before
+// Apply took a whole class batch. With ema set the rows go into EMAUpdate's
+// delta accumulators and EMAUpdate finishes each epoch. maxBatch records
+// the largest class batch any of its updaters saw.
+type perRowRule struct {
+	ema      bool
+	maxBatch *int
+}
+
+func (perRowRule) Name() string { return "per-row" }
+
+func (r perRowRule) NewUpdater(cfg Config) Updater {
+	u := &perRowUpdater{rule: r, rate: cfg.AdaptRate}
+	if r.ema {
+		u.ema = EMAUpdate{}.NewUpdater(cfg).(*emaUpdater)
+	}
+	return u
+}
+
+type perRowUpdater struct {
+	rule perRowRule
+	rate float64
+	ema  *emaUpdater
+}
+
+func (u *perRowUpdater) Apply(acc []*hdc.Accumulator, class int, hvs []hdc.Vector, sims []float64) {
+	dst := acc[class]
+	if u.ema != nil {
+		dst = u.ema.stage(class)
+	}
+	for i, hv := range hvs {
+		dst.Add(hv, u.rate*simWeight(sims[i]))
+	}
+	*u.rule.maxBatch = max(*u.rule.maxBatch, len(hvs))
+}
+
+func (u *perRowUpdater) FinishEpoch(acc []*hdc.Accumulator) {
+	if u.ema != nil {
+		u.ema.FinishEpoch(acc)
+	}
+}
+
+// TestBatchedUpdatesMatchPerRowAdds adapts at a scale where class batches
+// pass a 255-row chunk, so the bundle and ema rules reach AddWeighted's
+// bit-sliced path: AdaptBatch on 1,500 targets, then two AdaptIncremental
+// folds of 600. The class accumulators, prototypes and stats must equal
+// those of perRowRule, at workers 1 and 4.
+func TestBatchedUpdatesMatchPerRowAdds(t *testing.T) {
+	const dim, classes = 512, 3
+	cfg := Config{
+		Dim: dim, Classes: classes, RetrainEpochs: 1, AdaptEpochs: 3,
+		Confidence: 0.005, AdaptRate: 2, TopFrac: 0.75,
+	}
+	rng := testRNG(62)
+	protos := make([]hdc.Vector, classes)
+	for c := range protos {
+		protos[c] = hdc.Random(rng, dim)
+	}
+	var samples []Sample
+	for c, p := range protos {
+		for range 30 {
+			samples = append(samples, Sample{HV: flip(rng, p, dim/4), Class: c})
+		}
+	}
+	// Targets differ from their prototype in 128 to 191 bits, so their
+	// similarities, and with them the low bits of the quantized weights,
+	// vary from row to row.
+	batches := [][]hdc.Vector{make([]hdc.Vector, 1500), make([]hdc.Vector, 600), make([]hdc.Vector, 600)}
+	for _, batch := range batches {
+		for i := range batch {
+			batch[i] = flip(rng, protos[i%classes], dim/4+rng.IntN(dim/8))
+		}
+	}
+	type result struct {
+		stats []AdaptStats
+		accs  [][]byte
+		prot  []hdc.Vector
+	}
+	run := func(update UpdateRule, workers int) result {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetStrategy(Strategy{Update: update})
+		if err := m.Train(samples); err != nil {
+			t.Fatal(err)
+		}
+		var r result
+		for i, batch := range batches {
+			adapt := m.AdaptIncremental
+			if i == 0 {
+				adapt = m.AdaptBatch
+			}
+			stats, err := adapt(batch, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.stats = append(r.stats, stats)
+		}
+		m.mu.Lock()
+		for _, acc := range m.activeLocked().classAcc {
+			b, err := acc.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.accs = append(r.accs, b)
+		}
+		m.mu.Unlock()
+		r.prot = m.Snapshot().AdaptedPrototypes()
+		return r
+	}
+	for _, rule := range []struct {
+		update UpdateRule
+		ema    bool
+	}{{BundleUpdate{}, false}, {EMAUpdate{}, true}} {
+		maxBatch := 0
+		want := run(perRowRule{ema: rule.ema, maxBatch: &maxBatch}, 1)
+		if maxBatch <= 255 {
+			t.Fatalf("%s: largest class batch %d rows, want more than a 255-row chunk", rule.update.Name(), maxBatch)
+		}
+		for _, workers := range []int{1, 4} {
+			got := run(rule.update, workers)
+			name := fmt.Sprintf("%s/workers=%d", rule.update.Name(), workers)
+			if !reflect.DeepEqual(got.stats, want.stats) {
+				t.Fatalf("%s: stats %+v, per-row reference %+v", name, got.stats, want.stats)
+			}
+			for c := range want.accs {
+				if !bytes.Equal(got.accs[c], want.accs[c]) {
+					t.Fatalf("%s: class %d accumulator differs from per-row adds", name, c)
+				}
+				if !got.prot[c].Equal(want.prot[c]) {
+					t.Fatalf("%s: class %d prototype differs from per-row adds", name, c)
+				}
+			}
+		}
 	}
 }

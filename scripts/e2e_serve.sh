@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# End-to-end check of the train-once/serve-many path with the real binaries:
-# train+adapt+save a small model with `smore`, boot `smore-serve` on it, and
+# End-to-end check of the train-once/serve-many path with the real binaries.
+# First pin adaptation at scale: the default config at 2,000 windows per
+# class, saved with 1 and 2 workers, must give the same bundle with a pinned
+# SHA-256. Then train+adapt+save a small model with `smore`, boot
+# `smore-serve` on it, and
 # verify /healthz, a /v1/predict round trip, a byte-identical /v1/model
 # export, incremental /v1/adapt, and /metrics. Then exercise the streaming
 # path: serve a source-only model, push the target split through
@@ -52,6 +55,19 @@ code=0
 "$tmp/smore" -dim 512 >/dev/null 2>"$tmp/flat.err" || code=$?
 [ "$code" = "2" ] || fail "smore with top-level flags exited $code, want 2"
 grep -q '^usage: smore <command>' "$tmp/flat.err" || fail "smore with top-level flags did not print the usage"
+
+# Adaptation at scale: at 2,000 windows per class every class batch of the
+# pseudo-label update holds about 1,000 rows, so it runs the accumulator's
+# bit-sliced weighted path. The saved bundle must not depend on the worker
+# count and must match the digest the per-row update produced.
+for w in 1 2; do
+  "$tmp/smore" train -per-class 2000 -workers "$w" -save "$tmp/large$w.smore" >/dev/null
+done
+cmp "$tmp/large1.smore" "$tmp/large2.smore" || fail "-per-class 2000 bundle differs between -workers 1 and 2"
+want_large=53089e1a9a6029c17d76e153689abd04048823c3da58ffb0a83a96fa656a3b8a
+got_large=$(sha256sum "$tmp/large1.smore" | cut -d' ' -f1)
+[ "$got_large" = "$want_large" ] || fail "-per-class 2000 bundle digest $got_large, want $want_large"
+echo "e2e: -per-class 2000 bundle identical across workers and to the pinned digest"
 
 "$tmp/smore" train -dim 512 -levels 8 -ngram 2 -sensors 2 -classes 3 -window 16 \
   -per-class 8 -seed 7 -save "$tmp/model.smore" >/dev/null
