@@ -403,28 +403,6 @@ func errCode(err error) string {
 	return codeInternal
 }
 
-// decodeWindows parses and bounds a JSON windows request. The body must be
-// exactly one JSON value: trailing non-whitespace bytes (a concatenated
-// second object, truncation garbage) fail the request instead of being
-// silently ignored.
-func (s *Server) decodeWindows(w http.ResponseWriter, r *http.Request, req *predictRequest) error {
-	defer s.met.stage("decode")()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBody))
-	if err := dec.Decode(req); err != nil {
-		return s.bodyError(err, &httpError{http.StatusBadRequest, codeInvalidJSON, "invalid JSON: " + err.Error()})
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return s.bodyError(err, &httpError{http.StatusBadRequest, codeTrailingData, "trailing data after JSON body"})
-	}
-	if len(req.Windows) == 0 {
-		return &httpError{http.StatusBadRequest, codeEmptyBatch, "no windows in request"}
-	}
-	if len(req.Windows) > s.opt.MaxBatch {
-		return &httpError{http.StatusRequestEntityTooLarge, codeBatchTooLarge, fmt.Sprintf("batch of %d windows exceeds maximum %d", len(req.Windows), s.opt.MaxBatch)}
-	}
-	return nil
-}
-
 // bodyError maps a failed request-body read to the client's error: 413 when
 // the body overran MaxBody, otherwise the given error.
 func (s *Server) bodyError(err error, otherwise *httpError) *httpError {
@@ -499,8 +477,10 @@ func (s *Server) encodeWindows(ctx context.Context, inst *instance, ws [][][]flo
 // snapshot — no lock is acquired anywhere on this path, and the whole batch
 // sees one consistent model state even while folds land concurrently.
 func (s *Server) predict(inst *instance, w *responseRecorder, r *http.Request) error {
+	sc := getScratch()
+	defer putScratch(sc)
 	var req predictRequest
-	if err := s.decodeWindows(w, r, &req); err != nil {
+	if err := s.decodeWindows(w, r, sc, &req); err != nil {
 		return err
 	}
 	if req.Strategy != "" {
@@ -538,8 +518,10 @@ func parseStrategy(spec string) (strat model.Strategy, ok bool, err error) {
 }
 
 func (s *Server) adapt(inst *instance, w *responseRecorder, r *http.Request) error {
+	sc := getScratch()
+	defer putScratch(sc)
 	var req predictRequest
-	if err := s.decodeWindows(w, r, &req); err != nil {
+	if err := s.decodeWindows(w, r, sc, &req); err != nil {
 		return err
 	}
 	strat, setStrat, err := parseStrategy(req.Strategy)
@@ -618,8 +600,11 @@ func (inst *instance) validateWindows(ws [][][]float64) error {
 // currently too full to hold the whole batch (backpressure — nothing is
 // partially enqueued), 503 once shutdown has begun.
 func (s *Server) streamAdapt(inst *instance, w *responseRecorder, r *http.Request) error {
+	// The queue keeps the decoded windows until the worker encodes them, so
+	// they live in a scratch of their own that never goes back to the pool
+	// (a pooled one could also pin a larger earlier request's buffers).
 	var req predictRequest
-	if err := s.decodeWindows(w, r, &req); err != nil {
+	if err := s.decodeWindows(w, r, new(windowScratch), &req); err != nil {
 		return err
 	}
 	strat, setStrat, err := parseStrategy(req.Strategy)
@@ -756,7 +741,7 @@ func (s *Server) uploadModel(w *responseRecorder, r *http.Request) error {
 	name := r.PathValue("name")
 	b, err := func() (*pipeline.Bundle, error) {
 		defer s.met.stage("decode")()
-		body := http.MaxBytesReader(w, r.Body, s.opt.MaxBody)
+		body := http.MaxBytesReader(w.ResponseWriter, r.Body, s.opt.MaxBody)
 		b, err := pipeline.ReadBundle(body)
 		if err != nil {
 			return nil, s.bodyError(err, &httpError{http.StatusBadRequest, bundleErrCode(err), err.Error()})

@@ -94,6 +94,26 @@ curl -fsS "http://$ADDR/metrics" | grep >/dev/null 'smore_requests_total{endpoin
 curl -fsS "http://$ADDR/metrics" | grep >/dev/null 'smore_requests_total{endpoint="metrics"} 1' \
   || fail "metrics did not count its own scrapes"
 
+# The same windows as a canonical body and as a non-canonical one (a
+# "Windows" key, an unknown field, exponent-form numbers, newlines): the
+# first takes the server's byte scanner, the second its encoding/json
+# fallback, and the two answers must be byte-identical.
+canon='{"windows":[[[0.1,-0.2],[0.3,0.4],[0.0,1.1],[0.5,-0.5]],[[1.5,0.25],[-1.0,2.0],[0.75,-0.125],[2.5,1.0]],[[-2.0,-1.5],[0.0,0.0],[1.25,-2.25],[3.0,0.5]]]}'
+odd='{
+  "Windows": [[[1e-1, -2E-1], [3e-1, 4.0e-1], [0e0, 11e-1], [5E-1, -5e-1]],
+    [[15e-1, 2.5e-1], [-1E0, 2e+0], [75e-2, -125e-3], [0.25E1, 1]],
+    [[-2, -1.5e0], [0e0, 0], [125E-2, -2.25], [3, 5e-1]]],
+  "comment": "not canonical"
+}'
+curl -fsS -X POST -H 'Content-Type: application/json' --data-binary "$canon" \
+  "http://$ADDR/v1/predict" >"$tmp/predict_canonical.json" || fail "canonical predict failed"
+curl -fsS -X POST -H 'Content-Type: application/json' --data-binary "$odd" \
+  "http://$ADDR/v1/predict" >"$tmp/predict_fallback.json" || fail "non-canonical predict failed"
+grep -q '"predictions":\[[0-9],[0-9],[0-9]\]' "$tmp/predict_canonical.json" \
+  || fail "canonical predict did not answer three predictions: $(cat "$tmp/predict_canonical.json")"
+cmp "$tmp/predict_canonical.json" "$tmp/predict_fallback.json" \
+  || fail "canonical and non-canonical bodies of the same windows answered differently"
+
 # A body with trailing garbage after the JSON object must be rejected, in
 # the uniform error envelope with its stable machine code.
 code=$(curl -s -o "$tmp/err_trailing.json" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
