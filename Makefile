@@ -108,7 +108,7 @@ e2e:
 # on a small config) as a CI sanity check of the ablation runner, writing
 # ablate.json + ablate.md. In GitHub Actions the markdown table lands on the
 # job's step summary. Full grids: `go run ./cmd/smore ablate -h`.
-ABLATE_STRATEGIES ?= margin+constant+bundle,margin+anneal+bundle
+ABLATE_STRATEGIES ?= margin+constant+bundle,entropy-cal+constant+bundle
 ABLATE_SEEDS ?= 42,43
 ablate-smoke:
 	$(GO) run ./cmd/smore ablate -dim 1024 -levels 16 -ngram 3 -sensors 3 \

@@ -143,7 +143,7 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "maximum duration for writing a response")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for in-flight requests, then again for the stream queue")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (opt-in; a bare port like 6060 binds localhost); empty disables")
-		strategy     = flag.String("strategy", "", "override the default model's adaptation strategy (confidence+schedule+update; empty keeps the bundle's)")
+		strategy     = flag.String("strategy", "", "override the default model's adaptation strategy (confidence+constant+update; empty keeps the bundle's)")
 		driftPolicy  = flag.String("drift-policy", "", "spawn fresh target domains on streamed drift: none | spawn[:threshold] | spawn+retire[:threshold] (empty = none, EMA still tracked)")
 		maxTargets   = flag.Int("max-targets", 0, "live-target cap per model under a retiring drift policy (0 = default)")
 

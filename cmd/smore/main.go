@@ -59,11 +59,12 @@ func writeHeapProfile(path string) {
 type cliFlags struct {
 	// data group: the synthetic dataset and encoder shape.
 	dim, levels, ngram, sensors, classes, window, perClass, sources int
-	seed                                                            uint64
 	// model group: training and adaptation knobs.
 	epochs, adaptEp  int
 	confidence, rate float64
-	strategy         string
+	// single-run knobs: every command but ablate, which sweeps both.
+	seed     uint64
+	strategy string
 	// run group: execution and output knobs.
 	workers                int
 	jsonOut                bool
@@ -96,7 +97,6 @@ func (c *cliFlags) dataFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.window, "window", 64, "window length in timesteps")
 	fs.IntVar(&c.perClass, "per-class", 40, "samples per class per domain")
 	fs.IntVar(&c.sources, "sources", 2, "source domains")
-	fs.Uint64Var(&c.seed, "seed", 42, "master RNG seed")
 }
 
 // modelFlags registers the shared training/adaptation flag group.
@@ -105,7 +105,6 @@ func (c *cliFlags) modelFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.adaptEp, "adapt-epochs", 10, "adaptation epochs")
 	fs.Float64Var(&c.confidence, "confidence", 0.005, "pseudo-label similarity margin")
 	fs.Float64Var(&c.rate, "rate", 2.0, "adaptation learning rate")
-	fs.StringVar(&c.strategy, "strategy", "", "adaptation strategy as confidence+schedule+update (empty = margin+constant+bundle)")
 }
 
 // runFlags registers the shared execution/output flag group.
@@ -199,6 +198,10 @@ func runSubcommand(name string, args []string) {
 	fs := flag.NewFlagSet("smore "+name, flag.ExitOnError)
 	c.dataFlags(fs)
 	c.runFlags(fs)
+	if name != "ablate" { // ablate sweeps -seeds × -strategies instead
+		fs.Uint64Var(&c.seed, "seed", 42, "master RNG seed")
+		fs.StringVar(&c.strategy, "strategy", "", "adaptation strategy as confidence+constant+update (empty = margin+constant+bundle)")
+	}
 	switch name {
 	case "train":
 		c.modelFlags(fs)
@@ -207,8 +210,7 @@ func runSubcommand(name string, args []string) {
 		fs.StringVar(&c.dumpTarget, "dump-target", "", "write the raw target windows and labels to PREFIX.windows.json / PREFIX.labels.json")
 		fs.StringVar(&c.dumpDrift, "dump-drift", "", "write a harsh second-shift drift split (detector-grade; same class signatures) to PREFIX.windows.json / PREFIX.labels.json")
 	case "eval":
-		c.modelFlags(fs)
-		fs.StringVar(&c.load, "load", "", "model bundle to evaluate (required; its encoder/model config overrides the flags)")
+		fs.StringVar(&c.load, "load", "", "model bundle to evaluate (required; its encoder and model config override the flags)")
 		fs.BoolVar(&c.noAdapt, "no-adapt", false, "baseline only: do not adapt the loaded model")
 	case "stream":
 		c.modelFlags(fs)
@@ -223,7 +225,7 @@ func runSubcommand(name string, args []string) {
 	case "ablate":
 		c.modelFlags(fs)
 		fs.StringVar(&c.strategies, "strategies", strings.Join(pipeline.DefaultAblateStrategies(), ","),
-			"comma-separated confidence+schedule+update specs to sweep")
+			"comma-separated confidence+constant+update specs to sweep")
 		fs.StringVar(&c.seeds, "seeds", "42,43", "comma-separated master seeds to sweep per strategy")
 		fs.StringVar(&c.outJSON, "out-json", "", "also write the full sweep result as JSON to this file")
 		fs.StringVar(&c.outMD, "out-md", "", "also write the markdown comparison table to this file")

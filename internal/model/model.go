@@ -420,11 +420,11 @@ func (s *AdaptStats) Accumulate(o AdaptStats) {
 // the source class accumulators (weighted by how close the bundled target
 // distribution is to each source domain prototype). Each epoch then scores
 // every target sample and hands the score vectors to the installed
-// Strategy: the ConfidenceRule picks pseudo-label candidates, the Schedule
-// sets that epoch's acceptance threshold and per-class TopFrac cap, and
-// the UpdateRule folds the accepted samples into the target accumulators,
-// one Apply call per pseudo-class holding all of that class's accepted
-// samples, so the bundle and ema rules weight them with one
+// Strategy: the ConfidenceRule picks pseudo-label candidates, which pass
+// when their confidence reaches cfg.Confidence, up to the per-class TopFrac
+// cap, and the UpdateRule folds the accepted samples into the target
+// accumulators, one Apply call per pseudo-class holding all of that class's
+// accepted samples, so the bundle and ema rules weight them with one
 // hdc.Accumulator.AddWeighted batch.
 // The default strategy reproduces the paper's fixed recipe byte-for-byte:
 // best-vs-second-best margin against cfg.Confidence, constant TopFrac,
@@ -510,8 +510,8 @@ func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool) (A
 	// One class's kept rows and similarities, handed to the updater at once.
 	var keptHVs []hdc.Vector
 	var keptSims []float64
-	for epoch := range cfg.AdaptEpochs {
-		threshold, topFrac := strat.Schedule.Epoch(epoch, cfg.AdaptEpochs, cfg)
+	threshold, topFrac := cfg.Confidence, effTopFrac(cfg.TopFrac)
+	for range cfg.AdaptEpochs {
 		stats.Epochs++
 		pool.ForEach(len(targets), func(i int) {
 			scores := scoreBuf[i*cfg.Classes : (i+1)*cfg.Classes]
@@ -559,16 +559,10 @@ func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool) (A
 		}
 		updater.FinishEpoch(tgt.classAcc)
 		if !updated {
-			// An empty epoch implies every later epoch is empty too — the
-			// prototypes didn't move, so identical scores meet identical
-			// gates — UNLESS the schedule relaxes the gates later. Only
-			// bail early once the schedule has nothing further to give.
-			if next := epoch + 1; next >= cfg.AdaptEpochs {
-				break
-			} else if nextTh, nextTop := strat.Schedule.Epoch(next, cfg.AdaptEpochs, cfg); nextTh == threshold && nextTop == topFrac {
-				break
-			}
-			continue
+			// An empty epoch implies every later epoch is empty too: the
+			// prototypes didn't move, so identical scores meet the same
+			// gate.
+			break
 		}
 		tgt.rebuildPrototypes()
 	}

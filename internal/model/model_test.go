@@ -250,6 +250,44 @@ func TestAdaptMechanics(t *testing.T) {
 // contract: two identically trained ensembles adapted with worker counts 1
 // and N must end with byte-identical target prototypes and equal stats.
 // Run under -race in CI.
+// TestAdaptStopsAtFirstEmptyEpoch pins adapt's early exit. An epoch that
+// accepts no pseudo-label leaves the prototypes as they were, so every later
+// epoch would rescore the same targets against the same gate: the loop stops
+// after it. A run whose every epoch accepts labels runs them all.
+func TestAdaptStopsAtFirstEmptyEpoch(t *testing.T) {
+	run := func(confidence float64) (AdaptStats, int) {
+		rng := testRNG(31)
+		protos, samples := cluster(rng, 4, 20, testDim/3, 0)
+		cfg := testModelConfig()
+		cfg.AdaptEpochs = 10
+		cfg.Confidence = confidence
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Train(samples); err != nil {
+			t.Fatal(err)
+		}
+		var targets []hdc.Vector
+		for c := range 4 {
+			for range 15 {
+				targets = append(targets, flip(rng, protos[c], testDim/3))
+			}
+		}
+		stats, err := m.AdaptBatch(targets, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, len(targets)
+	}
+	if got, n := run(1); got != (AdaptStats{Epochs: 1, Skipped: n}) {
+		t.Fatalf("unreachable confidence: stats %+v, want 1 epoch, 0 pseudo-labels, %d skipped", got, n)
+	}
+	if got, _ := run(testModelConfig().Confidence); got.Epochs != 10 {
+		t.Fatalf("test confidence: stats %+v, want all 10 epochs", got)
+	}
+}
+
 func TestAdaptBatchDeterministicAcrossWorkers(t *testing.T) {
 	build := func() (*Ensemble, []hdc.Vector) {
 		rng := testRNG(21)

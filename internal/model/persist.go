@@ -17,7 +17,8 @@ import (
 //	        uint32 AdaptEpochs, float64 Confidence, float64 AdaptRate,
 //	        float64 TopFrac
 //	(SME2/SME3) strategy section: 3 × (uint32 length + name bytes) for the
-//	        confidence rule, schedule, and update rule
+//	        confidence rule, the schedule (always "constant"), and the
+//	        update rule
 //	SME1/SME2 body:
 //	    uint32 domain count, uint8 adapted flag
 //	    per domain (then the adapted target model, if the flag is set):
@@ -142,8 +143,8 @@ func (m *Ensemble) encodeLocked() ([]byte, error) {
 	putFloat64(m.cfg.AdaptRate)
 	putFloat64(m.cfg.TopFrac)
 	if version != ensembleMagic {
-		conf, sched, upd := strat.Names()
-		for _, name := range []string{conf, sched, upd} {
+		conf, upd := strat.Names()
+		for _, name := range []string{conf, fixedSchedule, upd} {
 			putUint32(uint32(len(name)))
 			buf.WriteString(name)
 		}

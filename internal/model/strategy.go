@@ -14,22 +14,14 @@ import (
 var ErrUnknownStrategy = errors.New("model: unknown strategy")
 
 // ConfidenceRule turns one sample's per-class score vector into a
-// pseudo-label candidate: the predicted class, a confidence value that the
-// schedule's threshold is compared against, and the similarity that scales
+// pseudo-label candidate: the predicted class, a confidence value that
+// Config.Confidence is compared against, and the similarity that scales
 // the update weight. Assess runs concurrently on the scoring worker pool,
 // so implementations must be stateless (or otherwise safe for concurrent
 // calls) and must not retain the scores slice.
 type ConfidenceRule interface {
 	Name() string
 	Assess(scores []float64) (class int, conf, sim float64)
-}
-
-// Schedule yields the acceptance threshold and the per-class TopFrac cap
-// for each adaptation epoch (0-based), so variants can anneal either knob
-// across the adaptation run instead of holding them constant.
-type Schedule interface {
-	Name() string
-	Epoch(epoch, total int, cfg Config) (threshold, topFrac float64)
 }
 
 // UpdateRule decides how accepted pseudo-labeled samples fold into the
@@ -54,22 +46,27 @@ type Updater interface {
 	FinishEpoch(acc []*hdc.Accumulator)
 }
 
-// Strategy bundles the three pluggable pieces of the adaptation loop. The
-// zero value (all nil) means the default recipe — MarginConfidence +
-// ConstantSchedule + BundleUpdate — which reproduces the historical fixed
-// loop byte-identically.
+// Strategy bundles the two pluggable pieces of the adaptation loop. The
+// acceptance gate is the paper's and not pluggable: Config.Confidence and
+// the per-class TopFrac cap, held constant across epochs. The zero value
+// (both nil) means the default recipe — MarginConfidence + BundleUpdate —
+// which reproduces the historical fixed loop byte-identically.
 type Strategy struct {
 	Confidence ConfidenceRule
-	Schedule   Schedule
 	Update     UpdateRule
 }
 
+// fixedSchedule fills the middle slot of a strategy spec and of the
+// SME2/SME3 strategy section. The gate is constant across epochs, so the
+// slot accepts only this name (or empty); it keeps every spec and bundle in
+// a three-part layout that a later gate piece can use.
+const fixedSchedule = "constant"
+
 // DefaultStrategy returns the paper's recipe: confidence-margin
-// pseudo-labels, constant threshold/TopFrac, direct bundling updates.
+// pseudo-labels and direct bundling updates.
 func DefaultStrategy() Strategy {
 	return Strategy{
 		Confidence: MarginConfidence{},
-		Schedule:   ConstantSchedule{},
 		Update:     BundleUpdate{},
 	}
 }
@@ -79,34 +76,31 @@ func (s Strategy) withDefaults() Strategy {
 	if s.Confidence == nil {
 		s.Confidence = MarginConfidence{}
 	}
-	if s.Schedule == nil {
-		s.Schedule = ConstantSchedule{}
-	}
 	if s.Update == nil {
 		s.Update = BundleUpdate{}
 	}
 	return s
 }
 
-// Names returns the registered names of the three pieces (nil pieces
-// report the default piece's name).
-func (s Strategy) Names() (confidence, schedule, update string) {
+// Names returns the registered names of the two pieces (nil pieces report
+// the default piece's name).
+func (s Strategy) Names() (confidence, update string) {
 	s = s.withDefaults()
-	return s.Confidence.Name(), s.Schedule.Name(), s.Update.Name()
+	return s.Confidence.Name(), s.Update.Name()
 }
 
-// String renders the strategy as the canonical "confidence+schedule+update"
+// String renders the strategy as the canonical "confidence+constant+update"
 // spec accepted by ParseStrategySpec.
 func (s Strategy) String() string {
-	c, sc, u := s.Names()
-	return c + "+" + sc + "+" + u
+	c, u := s.Names()
+	return c + "+" + fixedSchedule + "+" + u
 }
 
 // isDefault reports whether the strategy is the default recipe, which is
 // persisted in the legacy "SME1" layout for byte-compatibility.
 func (s Strategy) isDefault() bool {
-	c, sc, u := s.Names()
-	return c == "margin" && sc == "constant" && u == "bundle"
+	c, u := s.Names()
+	return c == "margin" && u == "bundle"
 }
 
 // ParseConfidenceRule resolves a registered confidence rule by name; the
@@ -119,18 +113,6 @@ func ParseConfidenceRule(name string) (ConfidenceRule, error) {
 		return EntropyCalConfidence{}, nil
 	}
 	return nil, fmt.Errorf("%w: confidence rule %q (have: %s)", ErrUnknownStrategy, name, strings.Join(ConfidenceRuleNames(), ", "))
-}
-
-// ParseSchedule resolves a registered schedule by name; the empty string
-// means the default (constant).
-func ParseSchedule(name string) (Schedule, error) {
-	switch name {
-	case "", "constant":
-		return ConstantSchedule{}, nil
-	case "anneal":
-		return AnnealSchedule{}, nil
-	}
-	return nil, fmt.Errorf("%w: schedule %q (have: %s)", ErrUnknownStrategy, name, strings.Join(ScheduleNames(), ", "))
 }
 
 // ParseUpdateRule resolves a registered update rule by name; the empty
@@ -148,31 +130,28 @@ func ParseUpdateRule(name string) (UpdateRule, error) {
 // ConfidenceRuleNames lists the registered confidence rules.
 func ConfidenceRuleNames() []string { return []string{"margin", "entropy-cal"} }
 
-// ScheduleNames lists the registered schedules.
-func ScheduleNames() []string { return []string{"constant", "anneal"} }
-
 // UpdateRuleNames lists the registered update rules.
 func UpdateRuleNames() []string { return []string{"bundle", "ema"} }
 
-// ParseStrategy assembles a strategy from the three piece names; empty
-// names select the default piece.
+// ParseStrategy assembles a strategy from the three slot names; empty
+// names select the default piece, and the middle slot accepts only
+// "constant".
 func ParseStrategy(confidence, schedule, update string) (Strategy, error) {
 	c, err := ParseConfidenceRule(confidence)
 	if err != nil {
 		return Strategy{}, err
 	}
-	sc, err := ParseSchedule(schedule)
-	if err != nil {
-		return Strategy{}, err
+	if schedule != "" && schedule != fixedSchedule {
+		return Strategy{}, fmt.Errorf("%w: schedule %q (have: %s)", ErrUnknownStrategy, schedule, fixedSchedule)
 	}
 	u, err := ParseUpdateRule(update)
 	if err != nil {
 		return Strategy{}, err
 	}
-	return Strategy{Confidence: c, Schedule: sc, Update: u}, nil
+	return Strategy{Confidence: c, Update: u}, nil
 }
 
-// ParseStrategySpec parses a "confidence+schedule+update" spec (the format
+// ParseStrategySpec parses a "confidence+constant+update" spec (the format
 // String renders). The empty spec means the default strategy.
 func ParseStrategySpec(spec string) (Strategy, error) {
 	if spec == "" {
@@ -180,7 +159,7 @@ func ParseStrategySpec(spec string) (Strategy, error) {
 	}
 	parts := strings.Split(spec, "+")
 	if len(parts) != 3 {
-		return Strategy{}, fmt.Errorf("%w: spec %q must be confidence+schedule+update", ErrUnknownStrategy, spec)
+		return Strategy{}, fmt.Errorf("%w: spec %q must be confidence+constant+update", ErrUnknownStrategy, spec)
 	}
 	return ParseStrategy(parts[0], parts[1], parts[2])
 }
@@ -259,45 +238,6 @@ func (EntropyCalConfidence) Assess(scores []float64) (int, float64, float64) {
 	return best, conf, scores[best]
 }
 
-// ConstantSchedule holds the configured threshold and TopFrac for every
-// epoch — the paper's fixed recipe.
-type ConstantSchedule struct{}
-
-// Name implements Schedule.
-func (ConstantSchedule) Name() string { return "constant" }
-
-// Epoch implements Schedule.
-func (ConstantSchedule) Epoch(_, _ int, cfg Config) (float64, float64) {
-	return cfg.Confidence, effTopFrac(cfg.TopFrac)
-}
-
-// annealStartFactor is how much stricter than Config.Confidence the
-// annealed schedule starts.
-const annealStartFactor = 4.0
-
-// AnnealSchedule starts strict and relaxes linearly over the adaptation
-// run: the acceptance threshold decays from annealStartFactor×Confidence
-// down to Confidence by the final epoch, while the per-class TopFrac cap
-// ramps from half its configured value up to full. Early epochs therefore
-// fold only the most trustworthy pseudo-labels — before the target
-// prototypes have moved — and later epochs open the gates once the model
-// has adapted toward the target distribution.
-type AnnealSchedule struct{}
-
-// Name implements Schedule.
-func (AnnealSchedule) Name() string { return "anneal" }
-
-// Epoch implements Schedule.
-func (AnnealSchedule) Epoch(epoch, total int, cfg Config) (float64, float64) {
-	frac := 1.0
-	if total > 1 {
-		frac = float64(epoch) / float64(total-1)
-	}
-	top := effTopFrac(cfg.TopFrac)
-	return cfg.Confidence * (annealStartFactor - (annealStartFactor-1)*frac),
-		top * (0.5 + 0.5*frac)
-}
-
 // effTopFrac applies the historical TopFrac default: zero means 0.5.
 func effTopFrac(f float64) float64 {
 	if f == 0 {
@@ -344,9 +284,8 @@ func (u *bundleUpdater) Apply(acc []*hdc.Accumulator, class int, hvs []hdc.Vecto
 
 func (*bundleUpdater) FinishEpoch([]*hdc.Accumulator) {}
 
-// defaultEMAMomentum is the history weight μ of EMAUpdate when Momentum is
-// left zero.
-const defaultEMAMomentum = 0.9
+// emaMomentum is the history weight μ of EMAUpdate.
+const emaMomentum = 0.9
 
 // EMAUpdate is a momentum prototype update in the spirit of MoSSDA's
 // momentum encoder: accepted samples of one epoch are staged into per-class
@@ -355,35 +294,26 @@ const defaultEMAMomentum = 0.9
 // counters via AddScaled. History decays geometrically, so the target
 // prototypes track the pseudo-label stream instead of being permanently
 // anchored by the earliest (least adapted) epochs.
-type EMAUpdate struct {
-	// Momentum is the history weight μ in (0,1); zero means 0.9.
-	Momentum float64
-}
+type EMAUpdate struct{}
 
 // Name implements UpdateRule.
 func (EMAUpdate) Name() string { return "ema" }
 
 // NewUpdater implements UpdateRule.
-func (u EMAUpdate) NewUpdater(cfg Config) Updater {
-	mom := u.Momentum
-	if mom == 0 {
-		mom = defaultEMAMomentum
-	}
+func (EMAUpdate) NewUpdater(cfg Config) Updater {
 	return &emaUpdater{
-		weights:  updateWeights{rate: cfg.AdaptRate},
-		momentum: mom,
-		dim:      cfg.Dim,
-		delta:    make([]*hdc.Accumulator, cfg.Classes),
-		touched:  make([]bool, cfg.Classes),
+		weights: updateWeights{rate: cfg.AdaptRate},
+		dim:     cfg.Dim,
+		delta:   make([]*hdc.Accumulator, cfg.Classes),
+		touched: make([]bool, cfg.Classes),
 	}
 }
 
 type emaUpdater struct {
-	weights  updateWeights
-	momentum float64
-	dim      int
-	delta    []*hdc.Accumulator // per-class epoch staging, lazily allocated
-	touched  []bool
+	weights updateWeights
+	dim     int
+	delta   []*hdc.Accumulator // per-class epoch staging, lazily allocated
+	touched []bool
 }
 
 func (u *emaUpdater) Apply(acc []*hdc.Accumulator, class int, hvs []hdc.Vector, sims []float64) {
@@ -408,7 +338,7 @@ func (u *emaUpdater) FinishEpoch(acc []*hdc.Accumulator) {
 			continue
 		}
 		ema := hdc.NewAccumulator(u.dim)
-		ema.AddScaled(acc[c], u.momentum)
+		ema.AddScaled(acc[c], emaMomentum)
 		ema.AddScaled(d, 1)
 		acc[c] = ema
 		d.Reset()

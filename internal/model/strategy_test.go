@@ -11,20 +11,18 @@ import (
 	"go-arxiv/smore/internal/hdc"
 )
 
-// allStrategyCombos enumerates every registered confidence × schedule ×
-// update combination.
+// allStrategyCombos enumerates every registered confidence × update
+// combination.
 func allStrategyCombos(t *testing.T) []Strategy {
 	t.Helper()
 	var out []Strategy
 	for _, c := range ConfidenceRuleNames() {
-		for _, s := range ScheduleNames() {
-			for _, u := range UpdateRuleNames() {
-				strat, err := ParseStrategy(c, s, u)
-				if err != nil {
-					t.Fatalf("ParseStrategy(%s,%s,%s): %v", c, s, u, err)
-				}
-				out = append(out, strat)
+		for _, u := range UpdateRuleNames() {
+			strat, err := ParseStrategy(c, fixedSchedule, u)
+			if err != nil {
+				t.Fatalf("ParseStrategy(%s,%s,%s): %v", c, fixedSchedule, u, err)
 			}
+			out = append(out, strat)
 		}
 	}
 	return out
@@ -51,7 +49,7 @@ func TestStrategyParse(t *testing.T) {
 			t.Fatalf("spec round-trip %q -> %q", strat.String(), back.String())
 		}
 	}
-	for _, spec := range []string{"margin", "a+b", "margin+constant+nope", "x+constant+bundle", "margin+x+bundle"} {
+	for _, spec := range []string{"margin", "a+b", "margin+constant+nope", "x+constant+bundle", "margin+x+bundle", "margin+anneal+bundle"} {
 		if _, err := ParseStrategySpec(spec); !errors.Is(err, ErrUnknownStrategy) {
 			t.Errorf("spec %q: err = %v, want ErrUnknownStrategy", spec, err)
 		}
@@ -64,7 +62,7 @@ func TestStrategyParse(t *testing.T) {
 }
 
 // TestStrategyCombosDeterministicAcrossWorkers is the strategy-API
-// determinism contract: for EVERY confidence/schedule/update combination,
+// determinism contract: for EVERY confidence/update combination,
 // adapting identically trained ensembles with worker counts 1..64 must end
 // with byte-identical target prototypes and equal stats. Run under -race in
 // CI.
@@ -183,10 +181,11 @@ func TestStrategyPersistRoundTrip(t *testing.T) {
 }
 
 // TestStrategyCorruptNames pins the decode-side validation of the SME2
-// strategy section.
+// strategy section, including a schedule slot that names the deleted
+// "anneal" schedule.
 func TestStrategyCorruptNames(t *testing.T) {
 	m, _ := trainedEnsemble(t, 54, false)
-	strat, err := ParseStrategy("entropy-cal", "anneal", "ema")
+	strat, err := ParseStrategy("entropy-cal", "constant", "ema")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,42 +208,12 @@ func TestStrategyCorruptNames(t *testing.T) {
 	if err := corrupt(func(b []byte) { b[nameOff+4] ^= 0xff }); !errors.Is(err, ErrUnknownStrategy) {
 		t.Errorf("garbled strategy name: err = %v, want ErrUnknownStrategy", err)
 	}
-}
-
-// TestStrategyChangesAcceptedCounts backs the ablation claim: at least one
-// non-default strategy must change which/how many pseudo-labels are
-// accepted relative to the default recipe on the same data.
-func TestStrategyChangesAcceptedCounts(t *testing.T) {
-	run := func(strat Strategy) AdaptStats {
-		rng := testRNG(41)
-		protos, samples := cluster(rng, 4, 20, testDim/3, 0)
-		m, err := New(testModelConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetStrategy(strat)
-		if err := m.Train(samples); err != nil {
-			t.Fatal(err)
-		}
-		var targets []hdc.Vector
-		for c := range 4 {
-			for range 15 {
-				targets = append(targets, flip(rng, protos[c], 2*testDim/5))
-			}
-		}
-		stats, err := m.AdaptBatch(targets, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
+	anneal := bytes.Replace(raw, []byte("\x08\x00\x00\x00constant"), []byte("\x06\x00\x00\x00anneal"), 1)
+	if bytes.Equal(anneal, raw) {
+		t.Fatal("SME2 blob has no constant schedule slot")
 	}
-	def := run(DefaultStrategy())
-	anneal, err := ParseStrategySpec("margin+anneal+bundle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := run(anneal); got.PseudoLabels == def.PseudoLabels && got.Skipped == def.Skipped {
-		t.Fatalf("anneal schedule accepted exactly the default's counts %+v — the schedule is not plugged in", got)
+	if _, err := Decode(bytes.NewReader(anneal)); !errors.Is(err, ErrUnknownStrategy) {
+		t.Errorf("anneal schedule slot: err = %v, want ErrUnknownStrategy", err)
 	}
 }
 
@@ -378,30 +347,6 @@ func accumulatorAbsMass(t *testing.T, acc *hdc.Accumulator) float64 {
 		s += math.Abs(float64(v))
 	}
 	return s
-}
-
-// TestAnnealScheduleShape pins the schedule endpoints: strict start, the
-// configured threshold/TopFrac by the final epoch.
-func TestAnnealScheduleShape(t *testing.T) {
-	cfg := testModelConfig()
-	cfg.TopFrac = 0.4
-	s := AnnealSchedule{}
-	th0, top0 := s.Epoch(0, 5, cfg)
-	if want := cfg.Confidence * annealStartFactor; math.Abs(th0-want) > 1e-12 {
-		t.Fatalf("epoch 0 threshold %.6f, want %.6f", th0, want)
-	}
-	if want := cfg.TopFrac / 2; math.Abs(top0-want) > 1e-12 {
-		t.Fatalf("epoch 0 topFrac %.3f, want %.3f", top0, want)
-	}
-	thN, topN := s.Epoch(4, 5, cfg)
-	if math.Abs(thN-cfg.Confidence) > 1e-12 || math.Abs(topN-cfg.TopFrac) > 1e-12 {
-		t.Fatalf("final epoch = (%.6f, %.3f), want (%.6f, %.3f)", thN, topN, cfg.Confidence, cfg.TopFrac)
-	}
-	// A single-epoch run must use the fully relaxed values.
-	th1, top1 := s.Epoch(0, 1, cfg)
-	if th1 != cfg.Confidence || top1 != cfg.TopFrac {
-		t.Fatalf("single-epoch schedule = (%.6f, %.3f), want configured values", th1, top1)
-	}
 }
 
 func TestErrInvalidConfigTyped(t *testing.T) {

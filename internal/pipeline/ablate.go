@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -16,7 +17,7 @@ type AblateSpec struct {
 	// overrides the data and encoder seeds with its own seed and installs
 	// its own adaptation strategy.
 	Base Config
-	// Strategies are "confidence+schedule+update" specs (the format of
+	// Strategies are "confidence+constant+update" specs (the format of
 	// model.Strategy.String); empty means DefaultAblateStrategies.
 	Strategies []string
 	// Seeds are the master seeds swept per strategy; empty means {42, 43}.
@@ -24,12 +25,11 @@ type AblateSpec struct {
 }
 
 // DefaultAblateStrategies is the stock grid: the paper's recipe plus one
-// variant along each axis (confidence rule, schedule, update rule).
+// variant along each axis (confidence rule, update rule).
 func DefaultAblateStrategies() []string {
 	return []string{
 		"margin+constant+bundle",
 		"entropy-cal+constant+bundle",
-		"margin+anneal+bundle",
 		"margin+constant+ema",
 	}
 }
@@ -46,12 +46,18 @@ type AblateCell struct {
 	WallMillis     float64          `json:"wall_ms"`
 }
 
-// AblateSummary aggregates one strategy's cells across seeds.
+// AblateSummary aggregates one strategy's cells across seeds. The delta
+// fields follow ADATIME's protocol (arXiv 2203.08321): the mean and the
+// population standard deviation of the per-seed target-accuracy delta, plus
+// how many seeds adaptation hurt and the worst of them.
 type AblateSummary struct {
 	Strategy      string  `json:"strategy"`
 	MeanBaseline  float64 `json:"mean_baseline"`
 	MeanAdapted   float64 `json:"mean_adapted"`
 	MeanDelta     float64 `json:"mean_delta"`
+	StdDelta      float64 `json:"std_delta"`
+	Hurt          int     `json:"hurt"` // seeds with delta < 0
+	WorstDelta    float64 `json:"worst_delta"`
 	PseudoLabels  int     `json:"pseudo_labels"` // total accepted across seeds
 	Skipped       int     `json:"skipped"`       // total skipped across seeds
 	MeanWallMilli float64 `json:"mean_wall_ms"`
@@ -125,10 +131,25 @@ func Ablate(spec AblateSpec) (*AblateResult, error) {
 		sum.MeanAdapted /= n
 		sum.MeanDelta = sum.MeanAdapted - sum.MeanBaseline
 		sum.MeanWallMilli /= n
+		sum.StdDelta, sum.Hurt, sum.WorstDelta = deltaSpread(res.Cells[len(res.Cells)-len(seeds):], sum.MeanDelta)
 		res.Summary = append(res.Summary, sum)
 	}
 	res.Elapsed = time.Since(start).Round(time.Millisecond).String()
 	return res, nil
+}
+
+// deltaSpread returns the population standard deviation of the cells'
+// deltas around mean, the number of negative deltas, and the lowest delta.
+func deltaSpread(cells []AblateCell, mean float64) (std float64, hurt int, worst float64) {
+	worst = math.Inf(1)
+	for _, c := range cells {
+		std += (c.Delta - mean) * (c.Delta - mean)
+		if c.Delta < 0 {
+			hurt++
+		}
+		worst = min(worst, c.Delta)
+	}
+	return math.Sqrt(std / float64(len(cells))), hurt, worst
 }
 
 // Markdown renders the sweep as two GitHub-flavored tables: every cell,
@@ -145,11 +166,11 @@ func (r *AblateResult) Markdown() string {
 	}
 	b.WriteString("\n**Per-strategy means over ")
 	fmt.Fprintf(&b, "%d seed(s):**\n\n", len(r.Seeds))
-	b.WriteString("| strategy | baseline | adapted | delta | pseudo-labels | skipped | wall |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|---:|\n")
+	b.WriteString("| strategy | baseline | adapted | delta | std | hurt | worst | pseudo-labels | skipped | wall |\n")
+	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
 	for _, s := range r.Summary {
-		fmt.Fprintf(&b, "| `%s` | %.3f | %.3f | %+.3f | %d | %d | %.0fms |\n",
-			s.Strategy, s.MeanBaseline, s.MeanAdapted, s.MeanDelta,
+		fmt.Fprintf(&b, "| `%s` | %.3f | %.3f | %+.3f | %.3f | %d | %+.3f | %d | %d | %.0fms |\n",
+			s.Strategy, s.MeanBaseline, s.MeanAdapted, s.MeanDelta, s.StdDelta, s.Hurt, s.WorstDelta,
 			s.PseudoLabels, s.Skipped, s.MeanWallMilli)
 	}
 	return b.String()

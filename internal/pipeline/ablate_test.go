@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -21,10 +22,11 @@ func ablateConfig() Config {
 }
 
 // TestAblateSweep is the acceptance test for the ablation runner: the
-// default grid (4 strategies × 2 seeds) must produce a cell per
-// combination, valid JSON, a Markdown table mentioning every strategy, and
-// at least one non-default strategy whose accepted-pseudo-label counts
-// differ from the default recipe's on the same seeds.
+// default grid (3 strategies × 2 seeds) must produce a cell per
+// combination, summaries whose delta spread matches their cells, valid
+// JSON, a Markdown table mentioning every strategy, and at least one
+// non-default strategy whose accepted-pseudo-label counts differ from the
+// default recipe's on the same seeds.
 func TestAblateSweep(t *testing.T) {
 	res, err := Ablate(AblateSpec{Base: ablateConfig(), Seeds: []uint64{42, 43}})
 	if err != nil {
@@ -48,6 +50,21 @@ func TestAblateSweep(t *testing.T) {
 	def := byStrategy["margin+constant+bundle"]
 	if len(def) != 2 {
 		t.Fatalf("default strategy has %d cells, want 2", len(def))
+	}
+	for _, sum := range res.Summary {
+		cells := byStrategy[sum.Strategy]
+		sq, hurt, worst := 0.0, 0, cells[0].Delta
+		for _, c := range cells {
+			sq += (c.Delta - sum.MeanDelta) * (c.Delta - sum.MeanDelta)
+			if c.Delta < 0 {
+				hurt++
+			}
+			worst = min(worst, c.Delta)
+		}
+		if std := math.Sqrt(sq / float64(len(cells))); math.Abs(sum.StdDelta-std) > 1e-12 || sum.Hurt != hurt || sum.WorstDelta != worst {
+			t.Errorf("%s: summary std/hurt/worst %v/%d/%v, cells give %v/%d/%v",
+				sum.Strategy, sum.StdDelta, sum.Hurt, sum.WorstDelta, std, hurt, worst)
+		}
 	}
 	countsDiffer := false
 	for name, cells := range byStrategy {
@@ -98,14 +115,14 @@ func TestAblateValidatesSpecs(t *testing.T) {
 func TestTrainAppliesStrategy(t *testing.T) {
 	cfg := ablateConfig()
 	var err error
-	if cfg.Strategy, err = model.ParseStrategySpec("entropy-cal+anneal+ema"); err != nil {
+	if cfg.Strategy, err = model.ParseStrategySpec("entropy-cal+constant+ema"); err != nil {
 		t.Fatal(err)
 	}
 	art, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := art.Model.Strategy().String(); got != "entropy-cal+anneal+ema" {
-		t.Fatalf("trained model strategy %q, want entropy-cal+anneal+ema", got)
+	if got := art.Model.Strategy().String(); got != "entropy-cal+constant+ema" {
+		t.Fatalf("trained model strategy %q, want entropy-cal+constant+ema", got)
 	}
 }

@@ -331,7 +331,7 @@ type predictRequest struct {
 	// target model exists (the no-adapt baseline).
 	SourceOnly bool `json:"source_only,omitempty"`
 	// Strategy selects the adaptation recipe for this request as a
-	// "confidence+schedule+update" spec (adapt and stream/adapt routes
+	// "confidence+constant+update" spec (adapt and stream/adapt routes
 	// only; prediction doesn't adapt, so predict rejects it). Empty keeps
 	// the model's current strategy.
 	Strategy string `json:"strategy,omitempty"`
@@ -439,23 +439,20 @@ func deadlineError(err error) error {
 		"request deadline exceeded: " + err.Error()}, time.Second)
 }
 
-// encodeChunk is the batch-encode granularity at which an active request
-// deadline is re-checked, bounding how far one oversized batch can overshoot
-// its deadline inside the worker pool.
+// encodeChunk is the batch-encode granularity at which the request context
+// is re-checked, bounding how far one oversized batch can overshoot its
+// deadline, or outlive its client, inside the worker pool.
 const encodeChunk = 64
 
+// encodeWindows encodes the batch in chunks of encodeChunk windows. Window
+// encodings are independent and deterministic, so the result is
+// byte-identical to one EncodeBatch over the whole batch.
 func (s *Server) encodeWindows(ctx context.Context, inst *instance, ws [][][]float64) ([]hdc.Vector, error) {
 	defer s.met.stage("encode")()
-	if _, ok := ctx.Deadline(); !ok {
-		hvs, err := inst.enc.EncodeBatch(ws, s.opt.Workers)
-		if err != nil {
-			return nil, &httpError{http.StatusBadRequest, codeBadWindow, err.Error()}
-		}
-		return hvs, nil
+	// EncodeBatch numbers a bad window within its chunk, not the request.
+	if err := inst.validateWindows(ws); err != nil {
+		return nil, err
 	}
-	// Under a deadline, encode in chunks and re-check the context between
-	// them. Window encodings are independent and deterministic, so the
-	// chunked result is byte-identical to the one-shot path.
 	out := make([]hdc.Vector, 0, len(ws))
 	for start := 0; start < len(ws); start += encodeChunk {
 		if err := ctx.Err(); err != nil {
@@ -574,10 +571,11 @@ type streamAdaptResponse struct {
 
 // validateWindows rejects windows the instance's encoder would fail on —
 // fewer timesteps than the n-gram length, rows with the wrong sensor count
-// — before they reach the streaming queue. The background worker coalesces
-// windows from many requests into one encode batch, and EncodeBatch fails
-// wholesale, so an unvalidated bad window would silently destroy other
-// clients' already-accepted data.
+// — numbering them within the request. encodeWindows runs it before its
+// chunked encode, and stream/adapt before the streaming queue: the
+// background worker coalesces windows from many requests into one encode
+// batch, and EncodeBatch fails wholesale, so an unvalidated bad window
+// would silently destroy other clients' already-accepted data.
 func (inst *instance) validateWindows(ws [][][]float64) error {
 	for i, win := range ws {
 		if len(win) < inst.encfg.NGram {

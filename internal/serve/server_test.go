@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -119,29 +120,54 @@ func decodeBody[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
+// TestPredictMatchesDirectBatch serves a 130-window batch, which the server
+// encodes in three chunks, with and without a request deadline: the answer
+// must equal one direct EncodeBatch + PredictBatch over the whole batch, and
+// a bad window must be reported by its index in the request.
 func TestPredictMatchesDirectBatch(t *testing.T) {
-	_, ts, art, windows := testServer(t)
-	batch := windows[:10]
-	resp := postJSON(t, ts.URL+"/v1/predict", predictRequest{Windows: batch})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict status %d", resp.StatusCode)
-	}
-	got := decodeBody[predictResponse](t, resp)
-	hvs, err := art.Encoder.EncodeBatch(batch, 1)
+	ds, err := data.Generate(data.Config{
+		Sensors: 2, Classes: 3, WindowLen: 16, PerClass: 44, Seed: 8,
+		Domains: pipeline.DefaultDomains(1),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := art.Model.Snapshot().PredictBatch(hvs, 1)
-	if len(got.Predictions) != len(want) {
-		t.Fatalf("got %d predictions, want %d", len(got.Predictions), len(want))
-	}
-	for i := range want {
-		if got.Predictions[i] != want[i] {
-			t.Fatalf("prediction %d: served %d, direct %d", i, got.Predictions[i], want[i])
-		}
-	}
-	if got.Adapted {
-		t.Fatal("server reports adapted before any /v1/adapt call")
+	batch := data.Windows(ds.Domains[len(ds.Domains)-1])[:130]
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		t.Run(fmt.Sprintf("timeout=%v", timeout), func(t *testing.T) {
+			_, ts, art, _ := testServerOpts(t, Options{Workers: 2, MaxBatch: 256, RequestTimeout: timeout})
+			resp := postJSON(t, ts.URL+"/v1/predict", predictRequest{Windows: batch})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("predict status %d", resp.StatusCode)
+			}
+			got := decodeBody[predictResponse](t, resp)
+			hvs, err := art.Encoder.EncodeBatch(batch, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := art.Model.Snapshot().PredictBatch(hvs, 1)
+			if len(got.Predictions) != len(want) {
+				t.Fatalf("got %d predictions, want %d", len(got.Predictions), len(want))
+			}
+			for i := range want {
+				if got.Predictions[i] != want[i] {
+					t.Fatalf("prediction %d: served %d, direct %d", i, got.Predictions[i], want[i])
+				}
+			}
+			if got.Adapted {
+				t.Fatal("server reports adapted before any /v1/adapt call")
+			}
+
+			bad := slices.Clone(batch)
+			bad[100] = bad[100][:1]
+			resp = postJSON(t, ts.URL+"/v1/predict", predictRequest{Windows: bad})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("bad window: status %d, want 400", resp.StatusCode)
+			}
+			if msg := decodeBody[errEnvelope](t, resp).Error.Message; !strings.HasPrefix(msg, "window 100 ") {
+				t.Fatalf("bad window reported as %q, want window 100", msg)
+			}
+		})
 	}
 }
 

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"strings"
 	"testing"
 
 	"go-arxiv/smore/internal/model"
+	"go-arxiv/smore/internal/pipeline"
 )
 
 // errEnvelope mirrors the wire shape of the uniform error body, decoded
@@ -37,7 +39,7 @@ func wantError(t *testing.T, resp *http.Response, status int, code string) {
 // asserts every route renders the same {"error":{"code","message"}} body
 // with the documented status and stable code.
 func TestErrorEnvelope(t *testing.T) {
-	_, ts, _, windows := testServerOpts(t, Options{Workers: 2, MaxBatch: 4, StreamQueue: 8})
+	_, ts, art, windows := testServerOpts(t, Options{Workers: 2, MaxBatch: 4, StreamQueue: 8})
 	get := func(path string) *http.Response {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -70,8 +72,13 @@ func TestErrorEnvelope(t *testing.T) {
 		wantError(t, post("/v1/stream/adapt", `{"windows":[[[1,2,3]]]}`), http.StatusBadRequest, codeBadWindow)
 	})
 	t.Run("unknown_strategy", func(t *testing.T) {
-		wantError(t, postJSON(t, ts.URL+"/v1/adapt", predictRequest{Windows: windows[:2], Strategy: "margin+constant+nope"}),
-			http.StatusBadRequest, codeUnknownStrategy)
+		for _, spec := range []string{"margin+constant+nope", "margin+anneal+bundle"} {
+			wantError(t, postJSON(t, ts.URL+"/v1/adapt", predictRequest{Windows: windows[:2], Strategy: spec}),
+				http.StatusBadRequest, codeUnknownStrategy)
+		}
+	})
+	t.Run("unknown_strategy_bundle", func(t *testing.T) {
+		wantError(t, uploadBundle(t, ts.URL, "x", annealBundle(t, art)), http.StatusBadRequest, codeUnknownStrategy)
 	})
 	t.Run("strategy_rejected_on_predict", func(t *testing.T) {
 		wantError(t, postJSON(t, ts.URL+"/v1/predict", predictRequest{Windows: windows[:2], Strategy: "margin+constant+ema"}),
@@ -99,6 +106,31 @@ func TestErrorEnvelope(t *testing.T) {
 	})
 }
 
+// annealBundle exports a copy of art's model under entropy-cal+constant+ema,
+// so the bundle carries an SME2 strategy section, and renames its schedule
+// slot to the deleted "anneal" schedule.
+func annealBundle(t *testing.T, art *pipeline.Artifacts) []byte {
+	t.Helper()
+	b, err := pipeline.ReadBundle(bytes.NewReader(bundleBytes(t, art)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := model.ParseStrategySpec("entropy-cal+constant+ema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Model.SetStrategy(strat)
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := bytes.Replace(buf.Bytes(), []byte("\x08\x00\x00\x00constant"), []byte("\x06\x00\x00\x00anneal"), 1)
+	if bytes.Equal(raw, buf.Bytes()) {
+		t.Fatal("exported bundle has no constant schedule slot")
+	}
+	return raw
+}
+
 // TestAdaptStrategySelection pins the per-request strategy surface: the
 // adapt route folds under the requested strategy, reports it in the
 // response, the model keeps it for later requests, and /v1/models lists it.
@@ -115,14 +147,14 @@ func TestAdaptStrategySelection(t *testing.T) {
 	}
 
 	// A requested strategy is applied, reported, and sticks on the model.
-	resp = postJSON(t, ts.URL+"/v1/adapt", predictRequest{Windows: windows[:4], Strategy: "entropy-cal+anneal+ema"})
+	resp = postJSON(t, ts.URL+"/v1/adapt", predictRequest{Windows: windows[:4], Strategy: "entropy-cal+constant+ema"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("adapt status %d", resp.StatusCode)
 	}
-	if got := decodeBody[adaptResponse](t, resp).Strategy; got != "entropy-cal+anneal+ema" {
-		t.Fatalf("adapt strategy %q, want entropy-cal+anneal+ema", got)
+	if got := decodeBody[adaptResponse](t, resp).Strategy; got != "entropy-cal+constant+ema" {
+		t.Fatalf("adapt strategy %q, want entropy-cal+constant+ema", got)
 	}
-	if got := art.Model.Strategy().String(); got != "entropy-cal+anneal+ema" {
+	if got := art.Model.Strategy().String(); got != "entropy-cal+constant+ema" {
 		t.Fatalf("model strategy after adapt %q", got)
 	}
 
@@ -134,8 +166,8 @@ func TestAdaptStrategySelection(t *testing.T) {
 	list := decodeBody[struct {
 		Models []modelInfo `json:"models"`
 	}](t, listResp)
-	if len(list.Models) != 1 || list.Models[0].Strategy != "entropy-cal+anneal+ema" {
-		t.Fatalf("models listing = %+v, want one entry with strategy entropy-cal+anneal+ema", list.Models)
+	if len(list.Models) != 1 || list.Models[0].Strategy != "entropy-cal+constant+ema" {
+		t.Fatalf("models listing = %+v, want one entry with strategy entropy-cal+constant+ema", list.Models)
 	}
 }
 

@@ -55,6 +55,10 @@ code=0
 "$tmp/smore" -dim 512 >/dev/null 2>"$tmp/flat.err" || code=$?
 [ "$code" = "2" ] || fail "smore with top-level flags exited $code, want 2"
 grep -q '^usage: smore <command>' "$tmp/flat.err" || fail "smore with top-level flags did not print the usage"
+# ablate sweeps -seeds and -strategies, so it registers no single -seed.
+code=0
+"$tmp/smore" ablate -seed 1 >/dev/null 2>&1 || code=$?
+[ "$code" = "2" ] || fail "smore ablate -seed exited $code, want 2"
 
 # Adaptation at scale: at 2,000 windows per class every class batch of the
 # pseudo-label update holds about 1,000 rows, so it runs the accumulator's
