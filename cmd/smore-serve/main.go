@@ -22,11 +22,14 @@
 //
 // Durability: with -state-dir every model's bundle (and drift-rollback
 // checkpoint) is persisted there via temp-file + fsync + atomic rename — on
-// the -checkpoint-interval cadence, after every -checkpoint-folds stream
-// folds, on POST .../checkpoint, and at shutdown. On restart the last good
-// generation of every model is recovered; torn or corrupt files fall back to
-// the previous generation, so a kill -9 mid-write never loses more than the
-// folds since the last checkpoint.
+// the -checkpoint-interval cadence for every model that changed (a fold,
+// spawn, rollback, upload or swap), after every -checkpoint-folds changes,
+// on POST .../checkpoint, and at shutdown. A change acknowledged with a 2xx
+// is on disk within one -checkpoint-interval plus one checkpoint's
+// duration. On restart the last good generation of every model is
+// recovered; torn or corrupt files fall back to the previous generation, so
+// a kill -9 mid-write never loses more than the changes since the last
+// checkpoint.
 //
 // Overload protection: -request-timeout bounds each request's handler work
 // (503 deadline_exceeded past it), -max-in-flight caps concurrently admitted
@@ -148,8 +151,8 @@ func main() {
 		maxTargets   = flag.Int("max-targets", 0, "live-target cap per model under a retiring drift policy (0 = default)")
 
 		stateDir     = flag.String("state-dir", "", "durable checkpoint directory; empty disables checkpointing and recovery")
-		ckptInterval = flag.Duration("checkpoint-interval", 30*time.Second, "periodic checkpoint cadence for models with unpersisted folds (0 disables the ticker)")
-		ckptFolds    = flag.Int("checkpoint-folds", 0, "checkpoint a model after this many stream folds since its last checkpoint (0 disables the trigger)")
+		ckptInterval = flag.Duration("checkpoint-interval", 30*time.Second, "periodic checkpoint cadence for models changed since their last checkpoint by a fold, spawn, rollback, upload or swap (0 disables the ticker)")
+		ckptFolds    = flag.Int("checkpoint-folds", 0, "checkpoint a model once this many changes (each stream fold is one, a drift spawn one more) accumulate since its last checkpoint, checked after each stream fold (0 disables the trigger)")
 		reqTimeout   = flag.Duration("request-timeout", 0, "per-request handler deadline; past it the request fails 503 deadline_exceeded (0 disables)")
 		maxInFlight  = flag.Int("max-in-flight", 0, "concurrently admitted model-route requests; past the cap requests fail 429 overloaded (0 disables)")
 		brThreshold  = flag.Int("breaker-threshold", 0, "consecutive stream-fold failures that open a model's circuit → 503 adapter_open (0 disables)")

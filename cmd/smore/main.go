@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -192,9 +193,30 @@ Run 'smore <command> -h' for that command's flags.
 `)
 }
 
-// runSubcommand parses the named command's flag groups and executes it.
-func runSubcommand(name string, args []string) {
-	c := &cliFlags{}
+// loadOverrides lists, per subcommand, the flags whose values a -load
+// bundle replaces with its own encoder and model config.
+var loadOverrides = map[string][]string{
+	"eval":   {"dim", "levels", "ngram"},
+	"stream": {"dim", "levels", "ngram", "retrain", "adapt-epochs", "confidence", "rate"},
+}
+
+// checkLoad rejects a flag set explicitly on the command line whose value
+// the -load bundle would silently replace, naming the first such flag.
+func (c *cliFlags) checkLoad(name string, fs *flag.FlagSet) error {
+	if c.load == "" {
+		return nil
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(loadOverrides[name], f.Name) {
+			err = fmt.Errorf("-%s has no effect with -load: the bundle's config sets it", f.Name)
+		}
+	})
+	return err
+}
+
+// flagSet registers the named command's flag groups on a fresh flag set.
+func (c *cliFlags) flagSet(name string) *flag.FlagSet {
 	fs := flag.NewFlagSet("smore "+name, flag.ExitOnError)
 	c.dataFlags(fs)
 	c.runFlags(fs)
@@ -210,12 +232,12 @@ func runSubcommand(name string, args []string) {
 		fs.StringVar(&c.dumpTarget, "dump-target", "", "write the raw target windows and labels to PREFIX.windows.json / PREFIX.labels.json")
 		fs.StringVar(&c.dumpDrift, "dump-drift", "", "write a harsh second-shift drift split (detector-grade; same class signatures) to PREFIX.windows.json / PREFIX.labels.json")
 	case "eval":
-		fs.StringVar(&c.load, "load", "", "model bundle to evaluate (required; its encoder and model config override the flags)")
+		fs.StringVar(&c.load, "load", "", "model bundle to evaluate (required; its config sets -dim, -levels and -ngram, which it rejects)")
 		fs.BoolVar(&c.noAdapt, "no-adapt", false, "baseline only: do not adapt the loaded model")
 	case "stream":
 		c.modelFlags(fs)
 		fs.IntVar(&c.streamN, "batch", 16, "micro-batch size for the streamed replay")
-		fs.StringVar(&c.load, "load", "", "start from this bundle instead of training (typically a -no-adapt source model)")
+		fs.StringVar(&c.load, "load", "", "start from this bundle instead of training (typically a -no-adapt source model); its config sets the encoder and model flags, which it rejects")
 		fs.StringVar(&c.save, "save", "", "write the post-stream model bundle to this file")
 		fs.StringVar(&c.driftPolicy, "drift-policy", "",
 			"run the two-shift drift replay under this policy: none | spawn[:threshold] | spawn+retire[:threshold] (empty = plain single-shift replay)")
@@ -230,7 +252,18 @@ func runSubcommand(name string, args []string) {
 		fs.StringVar(&c.outJSON, "out-json", "", "also write the full sweep result as JSON to this file")
 		fs.StringVar(&c.outMD, "out-md", "", "also write the markdown comparison table to this file")
 	}
+	return fs
+}
+
+// runSubcommand parses the named command's flag groups and executes it.
+func runSubcommand(name string, args []string) {
+	c := &cliFlags{}
+	fs := c.flagSet(name)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
+	if err := c.checkLoad(name, fs); err != nil {
+		fmt.Fprintln(os.Stderr, "smore:", err)
+		os.Exit(2)
+	}
 	stop := c.startProfiles()
 	defer stop()
 	switch name {

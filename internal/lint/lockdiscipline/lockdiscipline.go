@@ -35,9 +35,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // watchedOwners are the struct type names whose mutex fields guard serving
-// state. instance.mu (per-model serve lock) is deliberately absent: its
-// critical sections are allowed to marshal because they never sit on the
-// lock-free predict path.
+// state.
 var watchedOwners = map[string]bool{
 	"Ensemble": true,
 	"registry": true,

@@ -3,6 +3,8 @@ package model
 import (
 	"bytes"
 	"testing"
+
+	"go-arxiv/smore/internal/hdc"
 )
 
 // TestCheckpointBytesRestoreRoundTrip proves the serving layer's durability
@@ -14,26 +16,20 @@ func TestCheckpointBytesRestoreRoundTrip(t *testing.T) {
 	if _, err := m.AdaptIncremental(phaseA[0], 2); err != nil {
 		t.Fatal(err)
 	}
-	if m.CheckpointBytes() != nil {
+	if m.Snapshot().CheckpointBytes() != nil {
 		t.Fatal("checkpoint exists before any spawn")
 	}
+	preSpawn := marshalEnsemble(t, m)
 	if _, _, err := m.SpawnTarget("shift", 4, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.AdaptIncremental(phaseB[0], 2); err != nil {
 		t.Fatal(err)
 	}
-	cp := m.CheckpointBytes()
-	if cp == nil {
-		t.Fatal("no checkpoint after spawn")
+	cp := m.Snapshot().CheckpointBytes()
+	if !bytes.Equal(cp, preSpawn) {
+		t.Fatal("the snapshot's rollback checkpoint is not the pre-spawn state")
 	}
-	// The returned slice is a copy: corrupting it must not touch the live
-	// checkpoint.
-	cp2 := bytes.Clone(cp)
-	for i := range cp {
-		cp[i] ^= 0xFF
-	}
-	cp = cp2
 
 	// Persist the adapted ensemble and decode it fresh — the in-memory
 	// rollback checkpoint does not travel with the wire format.
@@ -45,13 +41,13 @@ func TestCheckpointBytesRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.HasCheckpoint() {
+	if m2.Snapshot().HasCheckpoint() {
 		t.Fatal("decoded ensemble has a checkpoint; expected none persisted")
 	}
 	if err := m2.RestoreCheckpoint(cp); err != nil {
 		t.Fatal(err)
 	}
-	if !m2.HasCheckpoint() {
+	if !m2.Snapshot().HasCheckpoint() {
 		t.Fatal("RestoreCheckpoint did not install the checkpoint")
 	}
 	if err := m2.Rollback(); err != nil {
@@ -76,15 +72,79 @@ func TestRestoreCheckpointRejectsGarbage(t *testing.T) {
 			t.Fatalf("RestoreCheckpoint accepted %d garbage bytes", len(b))
 		}
 	}
-	if m.HasCheckpoint() {
+	if m.Snapshot().HasCheckpoint() {
 		t.Fatal("rejected restore left a checkpoint behind")
 	}
 	// A truncated-but-prefixed copy of a real checkpoint must also fail.
 	if _, _, err := m.SpawnTarget("", 4, false); err != nil {
 		t.Fatal(err)
 	}
-	cp := m.CheckpointBytes()
+	cp := m.Snapshot().CheckpointBytes()
 	if err := m.RestoreCheckpoint(cp[:len(cp)/2]); err == nil {
 		t.Fatal("RestoreCheckpoint accepted a truncated checkpoint")
 	}
+}
+
+// TestSnapshotCarriesVersionTargetsCheckpoint pins what every publish stamps
+// on the snapshot: each published change moves the version by exactly one,
+// the target list includes a pending spawn, the rollback checkpoint rides
+// along (and survives Rollback), and Encode hands back the snapshot of the
+// state its bytes hold without publishing.
+func TestSnapshotCarriesVersionTargetsCheckpoint(t *testing.T) {
+	m, _, phaseA, phaseB := targetFixture(t, 93)
+	version := m.Snapshot().Version()
+	step := func(what string, change func() error) *Snapshot {
+		t.Helper()
+		if err := change(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		version++
+		s := m.Snapshot()
+		if s.Version() != version {
+			t.Fatalf("after %s the version is %d, want %d", what, s.Version(), version)
+		}
+		return s
+	}
+	fold := func(batch []hdc.Vector) func() error {
+		return func() error { _, err := m.AdaptIncremental(batch, 2); return err }
+	}
+	step("a fold", fold(phaseA[0]))
+	s := step("a spawn", func() error { _, _, err := m.SpawnTarget("", 0, false); return err })
+	if got := s.Targets(); len(got) != 2 || got[1].Ready || !got[1].Active {
+		t.Fatalf("after a spawn Targets() = %+v, want t0 and an active pending t1", got)
+	}
+	if !s.HasCheckpoint() {
+		t.Fatal("the spawn's snapshot carries no rollback checkpoint")
+	}
+	cp := s.CheckpointBytes()
+	step("a fold into the spawn", fold(phaseB[0]))
+
+	raw, es, err := m.Encode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es != m.Snapshot() || es.Version() != version {
+		t.Fatal("Encode did not return the published snapshot of the encoded state")
+	}
+	if !bytes.Equal(raw, marshalEnsemble(t, m)) {
+		t.Fatal("Encode and WriteTo disagree")
+	}
+
+	s = step("a rollback", m.Rollback)
+	if !s.HasCheckpoint() || !bytes.Equal(s.CheckpointBytes(), cp) {
+		t.Fatal("the rollback's snapshot lost the checkpoint that Rollback keeps")
+	}
+	if got := s.Targets(); len(got) != 1 || got[0].Name != "t0" {
+		t.Fatalf("after a rollback Targets() = %+v, want only t0", got)
+	}
+	step("a retire", func() error { return m.RetireTarget("t0") })
+	s = step("a restore", func() error { return m.RestoreCheckpoint(cp) })
+	if !bytes.Equal(s.CheckpointBytes(), cp) {
+		t.Fatal("RestoreCheckpoint did not republish with the restored checkpoint")
+	}
+	s = step("a reset", func() error { m.ResetAdaptation(); return nil })
+	if s.HasCheckpoint() || len(s.Targets()) != 0 {
+		t.Fatalf("after a reset the snapshot still has a checkpoint or targets %+v", s.Targets())
+	}
+	step("a load", func() error { _, err := m.ReadFrom(bytes.NewReader(raw)); return err })
 }

@@ -176,13 +176,15 @@ func (t *targetModel) ready() bool { return t.protMat != nil }
 // detected distribution shift; see SpawnTarget/RetireTarget/Rollback).
 //
 // Concurrency: the ensemble is a copy-on-write shadow behind an immutable
-// published Snapshot. Mutators — Train, Adapt*, ReadFrom, WriteTo,
-// SpawnTarget, RetireTarget, Rollback, ResetAdaptation — serialize on an
-// internal mutex, fold into the shadow state, and publish a fresh Snapshot
-// with one atomic pointer swap. Reads go through that snapshot (Snapshot,
-// Adapted, Config) and are completely lock-free, so predictions never stall
-// behind an adaptation fold and always see either the state before a fold
-// or after it, never a half-rebuilt prototype.
+// published Snapshot. Mutators — Train, Adapt*, ReadFrom, Encode (and
+// WriteTo), SpawnTarget, RetireTarget, Rollback, RestoreCheckpoint,
+// ResetAdaptation — serialize on an internal mutex, fold into the shadow
+// state, and publish a fresh Snapshot with one atomic pointer swap. Reads go
+// through that snapshot (Snapshot, Adapted, Config; the target list, the
+// rollback checkpoint and the version ride on it) and are completely
+// lock-free, so predictions and stats never stall behind an adaptation fold
+// and always see either the state before a fold or after it, never a
+// half-rebuilt prototype.
 type Ensemble struct {
 	mu      sync.Mutex // serializes mutators; read paths never take it
 	cfg     Config
@@ -201,6 +203,10 @@ type Ensemble struct {
 	foldClock  int64
 	checkpoint []byte
 
+	// version counts publishes; each snapshot carries the value it was
+	// published at.
+	version uint64
+
 	// strategy is the pluggable adaptation recipe (zero value = default).
 	// It has its own short mutex so Strategy() never blocks behind a long
 	// adaptation fold holding mu; stratMu is only ever taken on its own or
@@ -213,17 +219,22 @@ type Ensemble struct {
 }
 
 // publish deep-copies the current prototype state into a fresh immutable
-// Snapshot and swaps it in as the served view. Callers must hold m.mu and
+// Snapshot, stamped with the next version, the target list and the rollback
+// checkpoint, and swaps it in as the served view. Callers must hold m.mu and
 // have rebuilt the prototypes first.
 //
 //smore:locked
 func (m *Ensemble) publish() {
+	m.version++
 	s := &Snapshot{
-		cfg:     m.cfg,
-		domains: make([]snapDomain, len(m.domains)),
-		domMat:  m.domMat.Clone(),
-		active:  -1,
-		pool:    &m.pool,
+		cfg:        m.cfg,
+		domains:    make([]snapDomain, len(m.domains)),
+		domMat:     m.domMat.Clone(),
+		active:     -1,
+		version:    m.version,
+		infos:      make([]TargetInfo, len(m.targets)),
+		checkpoint: m.checkpoint,
+		pool:       &m.pool,
 	}
 	for i, dm := range m.domains {
 		s.domains[i] = snapDomain{
@@ -233,6 +244,7 @@ func (m *Ensemble) publish() {
 	}
 	// Only ready targets vote; a pending spawn has no prototypes yet.
 	for i, t := range m.targets {
+		s.infos[i] = TargetInfo{Name: t.name, Folds: t.folds, Active: i == m.active, Ready: t.ready()}
 		if !t.ready() {
 			continue
 		}
@@ -435,7 +447,7 @@ func (s *AdaptStats) Accumulate(o AdaptStats) {
 // are ranked by (confidence, index), so the adapted model and the returned
 // stats are byte-identical for every worker count.
 func (m *Ensemble) AdaptBatch(targets []hdc.Vector, workers int) (AdaptStats, error) {
-	return m.adapt(targets, workers, false)
+	return m.adapt(targets, workers, false, nil)
 }
 
 // AdaptIncremental folds one more batch of unlabeled target samples into the
@@ -445,14 +457,24 @@ func (m *Ensemble) AdaptBatch(targets []hdc.Vector, workers int) (AdaptStats, er
 // prototypes and extend the target domain prototype with the new batch.
 // Workers <= 0 means GOMAXPROCS.
 func (m *Ensemble) AdaptIncremental(targets []hdc.Vector, workers int) (AdaptStats, error) {
-	return m.adapt(targets, workers, true)
+	return m.adapt(targets, workers, true, nil)
+}
+
+// AdaptIncrementalWith is AdaptIncremental that first installs s, when it is
+// non-nil, in the same critical section as the fold, so concurrent callers
+// that select different strategies each fold under their own.
+func (m *Ensemble) AdaptIncrementalWith(s *Strategy, targets []hdc.Vector, workers int) (AdaptStats, error) {
+	return m.adapt(targets, workers, true, s)
 }
 
 // adapt runs one adaptation fold into the active target, creating the
-// implicit first target on demand.
-func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool) (AdaptStats, error) {
+// implicit first target on demand, after installing s when it is non-nil.
+func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool, s *Strategy) (AdaptStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if s != nil {
+		m.SetStrategy(*s) // stratMu nests inside mu, never the reverse
+	}
 	if len(m.domains) == 0 {
 		return AdaptStats{}, fmt.Errorf("%w: Adapt before Train", ErrNotTrained)
 	}

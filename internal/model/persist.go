@@ -100,11 +100,11 @@ func (m *Ensemble) persistedTargets() ([]*targetModel, int) {
 	return out, active
 }
 
-// encodeLocked serializes the ensemble into the newest format that can
-// represent it losslessly (see the wire-format comment), returning the
-// bytes. Serialization flushes staged accumulator state, so it is a mutator
-// even though the accumulated values don't change; callers must hold m.mu.
-func (m *Ensemble) encodeLocked() ([]byte, error) {
+// encodeLocked appends the ensemble, serialized into the newest format that
+// can represent it losslessly (see the wire-format comment), to dst.
+// Serialization flushes staged accumulator state, so it is a mutator even
+// though the accumulated values don't change; callers must hold m.mu.
+func (m *Ensemble) encodeLocked(dst []byte) ([]byte, error) {
 	if len(m.domains) == 0 {
 		return nil, fmt.Errorf("model: cannot serialize an untrained ensemble")
 	}
@@ -114,16 +114,15 @@ func (m *Ensemble) encodeLocked() ([]byte, error) {
 	// target with the auto-generated first name that is also the fold
 	// destination. Anything else needs the SME3 target section.
 	simple := len(targets) == 0 || (len(targets) == 1 && targets[0].name == "t0" && active == 0)
-	var buf bytes.Buffer
+	version := ensembleMagicV3
 	switch {
 	case simple && strat.isDefault():
-		buf.WriteString(ensembleMagic)
+		version = ensembleMagic
 	case simple:
-		buf.WriteString(ensembleMagicV2)
-	default:
-		buf.WriteString(ensembleMagicV3)
+		version = ensembleMagicV2
 	}
-	version := buf.String()
+	buf := bytes.NewBuffer(dst)
+	buf.WriteString(version)
 	putUint32 := func(v uint32) {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], v)
@@ -205,19 +204,30 @@ func (m *Ensemble) encodeLocked() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// WriteTo serializes the ensemble — configuration, strategy, every source
+// Encode appends the ensemble — configuration, strategy, every source
 // domain's class/domain accumulators and per-class counts, and every ready
-// adapted target model — in the versioned format read by ReadFrom. The
-// output is canonical: saving, loading, and saving again yields
-// byte-identical output, and the loaded ensemble predicts and continues
-// adapting exactly like the original.
-func (m *Ensemble) WriteTo(w io.Writer) (int64, error) {
+// adapted target model — to dst in the versioned format read by ReadFrom,
+// and returns it with the snapshot published for exactly that state, whose
+// version and rollback checkpoint go with the bytes. The output is
+// canonical: saving, loading, and saving again yields byte-identical
+// output, and the loaded ensemble predicts and continues adapting exactly
+// like the original.
+func (m *Ensemble) Encode(dst []byte) ([]byte, *Snapshot, error) {
 	// Serialization flushes staged accumulator state, so it is a mutator
 	// even though the accumulated values don't change: take the mutator
 	// lock. Predictions keep flowing off the published snapshot meanwhile.
 	m.mu.Lock()
-	b, err := m.encodeLocked()
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	b, err := m.encodeLocked(dst)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, m.snap.Load(), nil
+}
+
+// WriteTo writes the ensemble's canonical serialization (see Encode).
+func (m *Ensemble) WriteTo(w io.Writer) (int64, error) {
+	b, _, err := m.Encode(nil)
 	if err != nil {
 		return 0, err
 	}
@@ -453,11 +463,13 @@ func readState(r io.Reader) (*ensembleState, int64, error) {
 }
 
 // installLocked swaps a parsed ensembleState in as the ensemble's current
-// state and publishes a fresh snapshot. The fold clock is rebuilt in target
-// order (persisted order is spawn order, the LRU approximation the clock
-// exists for) and the rollback checkpoint is cleared: a loaded state is a
-// new baseline, not a transition to undo. Callers must hold m.mu.
-func (m *Ensemble) installLocked(st *ensembleState) {
+// state, with checkpoint as its rollback checkpoint, and publishes a fresh
+// snapshot. The fold clock is rebuilt in target order (persisted order is
+// spawn order, the LRU approximation the clock exists for). A loaded state
+// passes a nil checkpoint: it is a new baseline, not a transition to undo;
+// Rollback passes the checkpoint it restored, which survives it. Callers must
+// hold m.mu.
+func (m *Ensemble) installLocked(st *ensembleState, checkpoint []byte) {
 	m.cfg = st.cfg
 	m.domains = st.domains
 	m.targets = st.targets
@@ -467,7 +479,7 @@ func (m *Ensemble) installLocked(st *ensembleState) {
 	for i, t := range m.targets {
 		t.lastFold = int64(i + 1)
 	}
-	m.checkpoint = nil
+	m.checkpoint = checkpoint
 	m.SetStrategy(st.strat) // stratMu nests inside mu; a reload always reflects the file
 	m.rebuildDomainMatrix()
 	m.publish()
@@ -485,7 +497,7 @@ func (m *Ensemble) ReadFrom(r io.Reader) (int64, error) {
 		return n, err
 	}
 	m.mu.Lock()
-	m.installLocked(st)
+	m.installLocked(st, nil)
 	m.mu.Unlock()
 	return n, nil
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"go-arxiv/smore/internal/hdc"
@@ -11,18 +12,20 @@ import (
 
 // Snapshot is an immutable, self-contained view of a trained ensemble: the
 // packed per-domain class-prototype matrices, the packed domain-prototype
-// matrix, the per-class sample counts, the configuration, and the adapted
-// target models if any exist. An Ensemble publishes a fresh snapshot after
-// every successful Train, Adapt*, ReadFrom, SpawnTarget, RetireTarget,
-// Rollback, and ResetAdaptation via a single atomic pointer swap, so every
-// scoring method on a snapshot is lock-free, allocation-free in steady
-// state, and safe for any number of concurrent callers: a prediction either
-// sees the state before a fold or after it, never a half-rebuilt prototype
-// matrix.
+// matrix, the per-class sample counts, the configuration, the adapted
+// target models if any exist, the target list, the rollback checkpoint, and
+// a version. An Ensemble publishes a fresh snapshot after every successful
+// Train, Adapt*, ReadFrom, SpawnTarget, RetireTarget, Rollback,
+// RestoreCheckpoint, and ResetAdaptation via a single atomic pointer swap, so
+// every method on a snapshot is lock-free, every scoring method
+// allocation-free in steady state, and all are safe for any number of
+// concurrent callers: a reader either sees the state before a fold or after
+// it, never a half-rebuilt prototype matrix.
 //
 // Snapshots share nothing mutable with the ensemble that produced them —
-// the matrices are deep copies — so holding one across further adaptation
-// is safe and keeps answering with the state it captured.
+// the matrices are deep copies and the checkpoint bytes are never modified —
+// so holding one across further adaptation is safe and keeps answering with
+// the state it captured.
 type Snapshot struct {
 	cfg     Config
 	domains []snapDomain
@@ -37,6 +40,14 @@ type Snapshot struct {
 	targets []snapDomain
 	tgtMat  *hdc.Matrix
 	active  int
+
+	// version is the publishing ensemble's publish count at this snapshot;
+	// infos lists every target, pending spawns included; checkpoint is the
+	// rollback checkpoint (nil when none), shared with the ensemble and
+	// never modified.
+	version    uint64
+	infos      []TargetInfo
+	checkpoint []byte
 
 	// pool is shared with the publishing ensemble across snapshots, so a
 	// fold does not cold-start the zero-alloc scratch on the predict path.
@@ -112,6 +123,22 @@ func (s *Snapshot) Adapted() bool { return len(s.targets) > 0 }
 
 // NumTargets returns the number of initialized adapted target domains.
 func (s *Snapshot) NumTargets() int { return len(s.targets) }
+
+// Version counts the ensemble's publishes up to and including this
+// snapshot: every published change moves it by one.
+func (s *Snapshot) Version() uint64 { return s.version }
+
+// Targets lists the adapted target domains in spawn order, pending spawns
+// included.
+func (s *Snapshot) Targets() []TargetInfo { return slices.Clone(s.infos) }
+
+// HasCheckpoint reports whether Rollback has checkpointed state to restore.
+func (s *Snapshot) HasCheckpoint() bool { return s.checkpoint != nil }
+
+// CheckpointBytes returns the rollback checkpoint (the canonical encoding
+// captured by the last SpawnTarget/RetireTarget), or nil when none exists.
+// The bytes are shared and must not be modified.
+func (s *Snapshot) CheckpointBytes() []byte { return s.checkpoint }
 
 // weightsInto fills w (one slot per row of domMat) with
 // similarity-proportional weights of hv against every domain prototype,

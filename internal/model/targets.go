@@ -20,30 +20,13 @@ var ErrUnknownTarget = errors.New("model: unknown target")
 // names stay cheap to serialize and safe in logs and metrics labels.
 const maxTargetName = 64
 
-// TargetInfo describes one adapted target domain for stats surfaces.
+// TargetInfo describes one adapted target domain for stats surfaces; every
+// Snapshot lists them (Snapshot.Targets).
 type TargetInfo struct {
 	Name   string `json:"name"`
 	Folds  int64  `json:"folds"`
 	Active bool   `json:"active"` // the current fold destination
 	Ready  bool   `json:"ready"`  // initialized by a fold; votes and persists
-}
-
-// TargetInfos lists the adapted target domains in spawn order.
-func (m *Ensemble) TargetInfos() []TargetInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]TargetInfo, len(m.targets))
-	for i, t := range m.targets {
-		out[i] = TargetInfo{Name: t.name, Folds: t.folds, Active: i == m.active, Ready: t.ready()}
-	}
-	return out
-}
-
-// HasCheckpoint reports whether a Rollback has checkpointed state to restore.
-func (m *Ensemble) HasCheckpoint() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.checkpoint != nil
 }
 
 func (m *Ensemble) findTargetLocked(name string) *targetModel {
@@ -189,7 +172,7 @@ func slicesDelete(ts []*targetModel, t *targetModel) []*targetModel {
 // nothing to protect), so spawning before Train fails earlier. Callers must
 // hold m.mu.
 func (m *Ensemble) checkpointLocked() error {
-	b, err := m.encodeLocked()
+	b, err := m.encodeLocked(nil)
 	if err != nil {
 		return fmt.Errorf("model: checkpointing for rollback: %w", err)
 	}
@@ -208,30 +191,19 @@ func (m *Ensemble) Rollback() error {
 	if m.checkpoint == nil {
 		return ErrNoCheckpoint
 	}
-	cp := m.checkpoint
-	st, _, err := readState(bytes.NewReader(cp))
+	st, _, err := readState(bytes.NewReader(m.checkpoint))
 	if err != nil {
 		return fmt.Errorf("model: decoding checkpoint: %w", err)
 	}
-	m.installLocked(st)
-	m.checkpoint = cp
+	m.installLocked(st, m.checkpoint)
 	return nil
-}
-
-// CheckpointBytes returns a copy of the pre-drift rollback checkpoint (the
-// canonical encoding captured by the last SpawnTarget/RetireTarget), or nil
-// when none exists. The serving layer persists it next to the durable bundle
-// so POST /v1/stream/rollback survives a process restart.
-func (m *Ensemble) CheckpointBytes() []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return bytes.Clone(m.checkpoint)
 }
 
 // RestoreCheckpoint installs b as the rollback checkpoint, validating it
 // through the same parser Rollback uses so a torn or foreign checkpoint file
-// recovered from disk can never wedge a later rollback. The checkpoint must
-// describe an ensemble of this ensemble's dimension.
+// recovered from disk can never wedge a later rollback, and republishes so
+// the snapshot carries it. The checkpoint must describe an ensemble of this
+// ensemble's dimension.
 func (m *Ensemble) RestoreCheckpoint(b []byte) error {
 	st, _, err := readState(bytes.NewReader(b))
 	if err != nil {
@@ -244,6 +216,9 @@ func (m *Ensemble) RestoreCheckpoint(b []byte) error {
 			st.cfg.Dim, m.cfg.Dim)
 	}
 	m.checkpoint = bytes.Clone(b)
+	if len(m.domains) > 0 {
+		m.publish()
+	}
 	return nil
 }
 

@@ -72,9 +72,9 @@ func TestSpawnFoldVote(t *testing.T) {
 	if _, err := m.AdaptIncremental(phaseA[0], 2); err != nil {
 		t.Fatal(err)
 	}
-	infos := m.TargetInfos()
+	infos := m.Snapshot().Targets()
 	if len(infos) != 1 || infos[0].Name != "t0" || !infos[0].Active || !infos[0].Ready {
-		t.Fatalf("after first fold TargetInfos = %+v, want single active ready t0", infos)
+		t.Fatalf("after first fold Targets() = %+v, want single active ready t0", infos)
 	}
 	pre := scoresOf(t, m, queries[0])
 
@@ -99,10 +99,10 @@ func TestSpawnFoldVote(t *testing.T) {
 	if s := m.Snapshot(); s.NumTargets() != 2 {
 		t.Fatalf("after fold into spawned target snapshot has %d targets, want 2", s.NumTargets())
 	}
-	infos = m.TargetInfos()
+	infos = m.Snapshot().Targets()
 	if len(infos) != 2 || infos[0].Name != "t0" || infos[1].Name != "t1" ||
 		infos[0].Active || !infos[1].Active || !infos[1].Ready {
-		t.Fatalf("after second fold TargetInfos = %+v, want ready t0 + active ready t1", infos)
+		t.Fatalf("after second fold Targets() = %+v, want ready t0 + active ready t1", infos)
 	}
 	// The multi-target vote must produce finite scores for trained classes
 	// and classify every in-distribution query.
@@ -201,7 +201,7 @@ func TestRollbackRestoresBytes(t *testing.T) {
 	if err := func() error { _, err := m.AdaptIncremental(phaseA[0], 2); return err }(); err != nil {
 		t.Fatal(err)
 	}
-	if m.HasCheckpoint() {
+	if m.Snapshot().HasCheckpoint() {
 		t.Fatal("HasCheckpoint true before any spawn/retire")
 	}
 	if err := m.Rollback(); !errors.Is(err, ErrNoCheckpoint) {
@@ -213,7 +213,7 @@ func TestRollbackRestoresBytes(t *testing.T) {
 	if _, _, err := m.SpawnTarget("", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if !m.HasCheckpoint() {
+	if !m.Snapshot().HasCheckpoint() {
 		t.Fatal("spawn did not checkpoint")
 	}
 	if _, err := m.AdaptIncremental(phaseB[0], 2); err != nil {
@@ -237,7 +237,7 @@ func TestRollbackRestoresBytes(t *testing.T) {
 	}
 
 	m.ResetAdaptation()
-	if m.HasCheckpoint() {
+	if m.Snapshot().HasCheckpoint() {
 		t.Fatal("ResetAdaptation kept the rollback checkpoint")
 	}
 	if err := m.Rollback(); !errors.Is(err, ErrNoCheckpoint) {
@@ -271,7 +271,7 @@ func TestRetireLRU(t *testing.T) {
 	}
 	names := func() []string {
 		var out []string
-		for _, ti := range m.TargetInfos() {
+		for _, ti := range m.Snapshot().Targets() {
 			out = append(out, ti.Name)
 		}
 		return out
@@ -285,15 +285,15 @@ func TestRetireLRU(t *testing.T) {
 	if err := m.RetireTarget("t2"); err != nil {
 		t.Fatal(err)
 	}
-	infos := m.TargetInfos()
+	infos := m.Snapshot().Targets()
 	if len(infos) != 1 || infos[0].Name != "t1" || !infos[0].Active {
-		t.Fatalf("after retiring active target TargetInfos = %+v, want active t1", infos)
+		t.Fatalf("after retiring active target Targets() = %+v, want active t1", infos)
 	}
 	foldsBefore := infos[0].Folds
 	if _, err := m.AdaptIncremental(phaseB[2], 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.TargetInfos(); got[0].Folds != foldsBefore+1 {
+	if got := m.Snapshot().Targets(); got[0].Folds != foldsBefore+1 {
 		t.Fatalf("fold after retirement landed nowhere: %+v", got)
 	}
 }
@@ -320,7 +320,7 @@ func TestMultiTargetPersistSME3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantInfos, gotInfos := m.TargetInfos(), got.TargetInfos()
+	wantInfos, gotInfos := m.Snapshot().Targets(), got.Snapshot().Targets()
 	if len(gotInfos) != len(wantInfos) {
 		t.Fatalf("loaded %d targets, want %d", len(gotInfos), len(wantInfos))
 	}
@@ -537,7 +537,7 @@ func TestRetireNeverDropsInFlightFolds(t *testing.T) {
 		t.Fatalf("concurrent fold failed during spawn/retire churn: %v", err)
 	}
 	total := int64(0)
-	for _, ti := range m.TargetInfos() {
+	for _, ti := range m.Snapshot().Targets() {
 		total += ti.Folds
 	}
 	if total == 0 {

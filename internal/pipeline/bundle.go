@@ -27,18 +27,20 @@ type Bundle struct {
 // little-endian), then the ensemble in model's WriteTo format.
 const bundleMagic = "SMB1"
 
-// WriteTo serializes the bundle. Like model.(*Ensemble).WriteTo, the output
-// is canonical: save→load→save is byte-identical.
-func (b *Bundle) WriteTo(w io.Writer) (int64, error) {
+// Encode returns the bundle's canonical bytes together with the model
+// snapshot published for exactly the state they hold (see
+// model.(*Ensemble).Encode). Like the model's encoding, the output is
+// canonical: save→load→save is byte-identical.
+func (b *Bundle) Encode() ([]byte, *model.Snapshot, error) {
 	if b.Model == nil {
-		return 0, fmt.Errorf("pipeline: bundle has no model")
+		return nil, nil, fmt.Errorf("pipeline: bundle has no model")
 	}
 	if b.Encoder.Dim != b.Model.Config().Dim {
-		return 0, fmt.Errorf("pipeline: bundle encoder dimension %d does not match model dimension %d",
+		return nil, nil, fmt.Errorf("pipeline: bundle encoder dimension %d does not match model dimension %d",
 			b.Encoder.Dim, b.Model.Config().Dim)
 	}
-	var hdr [44]byte
-	copy(hdr[:], bundleMagic)
+	hdr := make([]byte, 44)
+	copy(hdr, bundleMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(b.Encoder.Dim))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(b.Encoder.Sensors))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(b.Encoder.Levels))
@@ -46,13 +48,17 @@ func (b *Bundle) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint64(hdr[20:], math.Float64bits(b.Encoder.Min))
 	binary.LittleEndian.PutUint64(hdr[28:], math.Float64bits(b.Encoder.Max))
 	binary.LittleEndian.PutUint64(hdr[36:], b.Encoder.Seed)
-	hn, err := w.Write(hdr[:])
-	n := int64(hn)
+	return b.Model.Encode(hdr)
+}
+
+// WriteTo writes the bundle's canonical bytes (see Encode).
+func (b *Bundle) WriteTo(w io.Writer) (int64, error) {
+	raw, _, err := b.Encode()
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	mn, err := b.Model.WriteTo(w)
-	return n + mn, err
+	n, err := w.Write(raw)
+	return int64(n), err
 }
 
 // ReadBundle parses the format written by WriteTo, validating the encoder

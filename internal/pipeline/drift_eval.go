@@ -244,7 +244,7 @@ func (a *Artifacts) StreamEvaluateDrift(batchSize int, dcfg DriftConfig) (*Drift
 	res.TargetsSpawned = st.TargetsSpawned
 	res.TargetsRetired = st.TargetsRetired
 	res.SpawnedSecondTarget = st.TargetsSpawned > 0
-	res.Targets = a.Model.TargetInfos()
+	res.Targets = a.Model.Snapshot().Targets()
 	res.FinalB = res.TrajectoryB[len(res.TrajectoryB)-1]
 	res.FinalA = res.TrajectoryA[len(res.TrajectoryA)-1]
 	res.BeatsBaseline = res.FinalB > res.FrozenBaselineB

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -92,14 +92,18 @@ type stateStore struct {
 	foldEvery int
 	logf      func(format string, args ...any)
 
-	// kick carries fold-count trigger requests from fold closures to the
-	// checkpointer goroutine; sends are non-blocking (a full channel means a
-	// checkpoint is already pending).
-	kick     chan *instance
+	// kick carries change-count trigger requests, by model name, from fold
+	// closures to the checkpointer goroutine; sends are non-blocking (a full
+	// channel means a checkpoint is already pending).
+	kick     chan string
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
+	// mu makes the store the state dir's one writer: a checkpoint holds it
+	// from the registry lookup through the save, forget while it removes a
+	// model's directory, so generations land in order and an instance that
+	// left the registry never writes again. It also guards gens.
 	mu   sync.Mutex
 	gens map[string]int64 // highest generation ever used per model
 }
@@ -113,44 +117,46 @@ func newStateStore(opt Options, logf func(string, ...any)) (*stateStore, error) 
 		interval:  opt.CheckpointInterval,
 		foldEvery: opt.CheckpointFolds,
 		logf:      logf,
-		kick:      make(chan *instance, 16),
+		kick:      make(chan string, 16),
 		stop:      make(chan struct{}),
 		gens:      map[string]int64{},
 	}, nil
 }
 
-// kickInstance requests an asynchronous checkpoint of inst (fold-count
-// trigger). Never blocks: with the channel full a checkpoint pass is already
-// queued and will observe the folds.
-func (st *stateStore) kickInstance(inst *instance) {
+// afterFold runs after each successful stream fold and requests an
+// asynchronous checkpoint once inst's snapshot version is a positive
+// multiple of foldEvery past the version its newest generation holds (a
+// multiple, so a failed checkpoint is retried at the next one). Never
+// blocks: with the channel full a checkpoint is already queued.
+func (st *stateStore) afterFold(inst *instance) {
+	if st.foldEvery <= 0 {
+		return
+	}
+	v, saved := inst.model.Snapshot().Version(), inst.ckptVersion.Load()
+	if v <= saved || (v-saved)%uint64(st.foldEvery) != 0 {
+		return
+	}
 	select {
-	case st.kick <- inst:
+	case st.kick <- inst.name:
 	default:
 	}
-}
-
-// nextGen reserves the next generation number for a model. Numbers are
-// monotonic across restarts (recovery seeds gens with the highest number
-// found on disk, valid or torn) so a new save can never collide with — or
-// sort below — a leftover file.
-func (st *stateStore) nextGen(name string) int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.gens[name]++
-	return st.gens[name]
 }
 
 // save durably persists one checkpoint generation: bundle bytes, the
 // optional rollback checkpoint, then the manifest naming them — in that
 // order, so the manifest never references files that might not exist. Old
 // generations past keepGenerations are pruned only after the new manifest is
-// durable.
+// durable. Generation numbers are monotonic across restarts (recovery seeds
+// gens with the highest number found on disk, valid or torn), so a new save
+// can never collide with — or sort below — a leftover file. Callers hold
+// st.mu.
 func (st *stateStore) save(name string, bundle, rollback []byte) (int64, error) {
 	dir := filepath.Join(st.dir, name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
-	gen := st.nextGen(name)
+	st.gens[name]++
+	gen := st.gens[name]
 	entry := manifestEntry{Gen: gen, Bundle: genFile(gen), BundleSHA256: sha256hex(bundle)}
 	if err := writeFileAtomic(filepath.Join(dir, entry.Bundle), bundle); err != nil {
 		return 0, err
@@ -187,11 +193,13 @@ func (st *stateStore) save(name string, bundle, rollback []byte) (int64, error) 
 	return gen, nil
 }
 
-// forget removes a model's durable state (DELETE /v1/models/{name}).
+// forget removes a model's durable state (DELETE /v1/models/{name}). The
+// registry has already dropped the name, so once forget holds st.mu no
+// checkpoint can write the directory back.
 func (st *stateStore) forget(name string) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	delete(st.gens, name)
-	st.mu.Unlock()
 	if err := os.RemoveAll(filepath.Join(st.dir, name)); err != nil {
 		st.logf("serve: removing state of deleted model %q: %v", name, err)
 	}
@@ -371,8 +379,9 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // runCheckpointer is the background checkpoint loop: a periodic pass over
-// dirty instances (CheckpointInterval) plus on-demand fold-count kicks. It
-// exits on Close, which then takes the final full checkpoint itself.
+// instances whose version moved (CheckpointInterval) plus on-demand
+// change-count kicks. It exits on Close, which then takes the final full
+// checkpoint itself.
 func (s *Server) runCheckpointer() {
 	defer s.store.wg.Done()
 	var tick <-chan time.Time
@@ -387,65 +396,64 @@ func (s *Server) runCheckpointer() {
 			return
 		case <-tick:
 			s.checkpointAll(false)
-		case inst := <-s.store.kick:
-			s.checkpointInstance(inst)
+		case name := <-s.store.kick:
+			s.checkpointModel(name, false)
 		}
 	}
 }
 
 // checkpointAll checkpoints registered instances — all of them when force is
-// set (shutdown), otherwise only those with folds since their last
-// checkpoint. Returns the first failure.
+// set (shutdown), otherwise only those whose snapshot version moved since
+// their newest generation. A model that leaves the registry meanwhile is
+// skipped. Returns the first failure.
 func (s *Server) checkpointAll(force bool) error {
-	s.reg.mu.Lock()
-	insts := make([]*instance, 0, len(s.reg.models))
-	for _, inst := range s.reg.models {
-		insts = append(insts, inst)
-	}
-	s.reg.mu.Unlock()
 	var first error
-	for _, inst := range insts {
-		if !force && inst.foldsSinceCkpt.Load() == 0 {
-			continue
-		}
-		if _, err := s.checkpointInstance(inst); err != nil && first == nil {
+	for _, inst := range s.reg.instances() {
+		_, err := s.checkpointModel(inst.name, force)
+		if err != nil && !errors.Is(err, errModelGone) && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// checkpointInstance persists one instance's current bundle (and rollback
-// checkpoint) as a new durable generation. The marshal happens under the
-// instance mutex — exactly like export — and all file I/O strictly outside
-// it, which the lockdiscipline analyzer now enforces.
-func (s *Server) checkpointInstance(inst *instance) (int64, error) {
-	done := s.met.stage("checkpoint")
-	defer done()
-	folds := inst.foldsSinceCkpt.Load()
-	var buf bytes.Buffer
-	inst.mu.Lock()
-	b := pipeline.Bundle{Encoder: inst.encfg, Model: inst.model}
-	_, werr := b.WriteTo(&buf)
-	var rollback []byte
-	if werr == nil {
-		rollback = inst.model.CheckpointBytes()
+// errModelGone reports a checkpoint of a name no longer registered.
+var errModelGone = errors.New("model left the registry")
+
+// checkpointModel saves the instance registered under name as a new durable
+// generation: its canonical bundle bytes and the rollback checkpoint of the
+// same snapshot. Holding the store mutex from the lookup through the save
+// keeps checkpoints of one model in order and makes a name that is gone
+// write nothing (errModelGone). Unless force is set, an instance whose
+// version has not moved since its newest generation is skipped (generation
+// 0). The marshal runs under the model's own mutex and the file I/O outside
+// it, which the lockdiscipline analyzer enforces.
+func (s *Server) checkpointModel(name string, force bool) (int64, error) {
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	inst := s.reg.lookup(name)
+	if inst == nil {
+		return 0, errModelGone
 	}
-	inst.mu.Unlock()
-	if werr == nil {
-		var gen int64
-		gen, werr = s.store.save(inst.name, buf.Bytes(), rollback)
-		if werr == nil {
-			inst.foldsSinceCkpt.Add(-folds)
-			inst.ckptGen.Store(gen)
-			inst.ckptSaves.Add(1)
-			s.reg.logf("serve: model %q checkpointed (generation %d)", inst.name, gen)
-			return gen, nil
-		}
+	if !force && inst.model.Snapshot().Version() == inst.ckptVersion.Load() {
+		return 0, nil
 	}
-	inst.ckptFailures.Add(1)
-	s.reg.logf("serve: checkpointing model %q: %v", inst.name, werr)
-	return 0, werr
+	defer s.met.stage("checkpoint")()
+	raw, snap, err := inst.encode()
+	var gen int64
+	if err == nil {
+		gen, err = s.store.save(name, raw, snap.CheckpointBytes())
+	}
+	if err != nil {
+		inst.ckptFailures.Add(1)
+		s.reg.logf("serve: checkpointing model %q: %v", name, err)
+		return 0, err
+	}
+	inst.ckptVersion.Store(snap.Version())
+	inst.ckptGen.Store(gen)
+	inst.ckptSaves.Add(1)
+	s.reg.logf("serve: model %q checkpointed (generation %d)", name, gen)
+	return gen, nil
 }
 
 // checkpoint is POST /v1/checkpoint and /v1/models/{name}/checkpoint: an
@@ -456,8 +464,11 @@ func (s *Server) checkpoint(inst *instance, w *responseRecorder, r *http.Request
 	if s.store == nil {
 		return &httpError{http.StatusConflict, codeNoStateDir, "durable checkpoints are disabled; start the server with -state-dir"}
 	}
-	gen, err := s.checkpointInstance(inst)
-	if err != nil {
+	gen, err := s.checkpointModel(inst.name, true)
+	switch {
+	case errors.Is(err, errModelGone):
+		return &httpError{http.StatusNotFound, codeModelNotFound, fmt.Sprintf("model %q not found", inst.name)}
+	case err != nil:
 		return &httpError{http.StatusInternalServerError, codeCheckpointFailed, err.Error()}
 	}
 	return writeJSON(w, http.StatusOK, map[string]any{

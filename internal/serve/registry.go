@@ -38,9 +38,9 @@ var modelName = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
 // instance is one served bundle: its own encoder (bundles may differ in
 // dimension and sensor count), ensemble, and streaming adaptation worker.
-// Predictions go through the ensemble's lock-free snapshot; mu serializes
-// the mutating surface (adapt folds, stream folds, export) per instance so
-// a fold and an export cannot interleave mid-flush.
+// Every read goes through the ensemble's lock-free snapshot; every change
+// (adapt folds, stream folds, spawns, rollbacks, export's flush) serializes
+// on the ensemble's own mutex, the one per-model lock.
 type instance struct {
 	name   string
 	enc    *encode.Encoder
@@ -55,17 +55,30 @@ type instance struct {
 	// rollbacks counts successful POST .../stream/rollback restores.
 	rollbacks atomic.Int64
 
-	// Durable-checkpoint bookkeeping: successful stream folds since the last
-	// checkpoint (drives the fold-count trigger and lets the periodic
-	// checkpointer skip clean instances), the last persisted generation, and
+	// Durable-checkpoint bookkeeping: the snapshot version the newest
+	// generation holds (the checkpointer saves the instance once its
+	// snapshot version moves past it), the last persisted generation, and
 	// cumulative save/failure counts for stats and metrics.
-	foldsSinceCkpt atomic.Int64
-	ckptGen        atomic.Int64
-	ckptSaves      atomic.Int64
-	ckptFailures   atomic.Int64
+	ckptVersion  atomic.Uint64
+	ckptGen      atomic.Int64
+	ckptSaves    atomic.Int64
+	ckptFailures atomic.Int64
 
-	mu       sync.Mutex
 	lastUsed int64 // registry LRU tick; guarded by the registry mutex
+}
+
+// encode returns the instance's canonical bundle bytes with the snapshot
+// published for the state they hold.
+func (inst *instance) encode() ([]byte, *model.Snapshot, error) {
+	b := pipeline.Bundle{Encoder: inst.encfg, Model: inst.model}
+	return b.Encode()
+}
+
+// recovered marks the instance's state as the one durable generation gen
+// holds.
+func (inst *instance) recovered(gen int64) {
+	inst.ckptGen.Store(gen)
+	inst.ckptVersion.Store(inst.model.Snapshot().Version())
 }
 
 // close drains the instance's streaming queue into its model and stops the
@@ -131,8 +144,8 @@ type registry struct {
 	logf func(format string, args ...any)
 
 	// store is the durable checkpoint store; nil when Options.StateDir is
-	// unset. The fold closures use it for the fold-count trigger, and
-	// remove() forgets a deleted model's state so it cannot resurrect.
+	// unset. The fold closures use it for the change-count trigger, and
+	// remove() forgets a deleted model's state.
 	store *stateStore
 
 	// def always points at the instance currently registered under
@@ -178,18 +191,11 @@ func (g *registry) newInstance(name string, b *pipeline.Bundle) (*instance, erro
 		stream.Config{
 			QueueCap: g.opt.StreamQueue, MaxBatch: g.opt.StreamBatch,
 			Policy: g.opt.DriftPolicy, MaxTargets: g.opt.MaxTargets,
-			// The drift closures mirror the fold closure's locking: take the
-			// instance mutex, then call into the model (inst.mu → model.mu,
-			// never the reverse). The adapter calls Sim and Spawn from its
-			// worker goroutine with no adapter lock held.
-			Sim: func(hvs []hdc.Vector) (float64, bool, error) {
-				inst.mu.Lock()
-				defer inst.mu.Unlock()
-				return inst.model.BatchSimilarity(hvs)
-			},
+			// The adapter calls Sim, Spawn and the fold from its worker
+			// goroutine with no adapter lock held; the model serializes them
+			// on its own mutex.
+			Sim: inst.model.BatchSimilarity,
 			Spawn: func(maxTargets int, retire bool) (string, string, error) {
-				inst.mu.Lock()
-				defer inst.mu.Unlock()
 				spawned, retired, err := inst.model.SpawnTarget("", maxTargets, retire)
 				if err == nil {
 					g.logf("serve: model %q drift: spawned target %q (retired %q)", inst.name, spawned, retired)
@@ -208,23 +214,17 @@ func (g *registry) newInstance(name string, b *pipeline.Bundle) (*instance, erro
 			defer g.met.stage("fold")()
 			// Chaos hooks: a slow fold models a wedged worker (the drain
 			// budget must still hold), a fold error feeds the circuit
-			// breaker. Both fire before the lock so an injected stall never
-			// blocks export or adapt traffic.
+			// breaker. Both fire before the fold takes the model's lock, so
+			// an injected stall never blocks export or adapt traffic.
 			fault.Sleep("stream.fold.slow")
 			if err := fault.Maybe("stream.fold.err"); err != nil {
 				inst.breaker.record(false)
 				return model.AdaptStats{}, err
 			}
-			inst.mu.Lock()
 			stats, err := inst.model.AdaptIncremental(hvs, g.opt.Workers)
-			inst.mu.Unlock()
 			inst.breaker.record(err == nil)
 			if err == nil && g.store != nil {
-				// Modulo, not equality: if a checkpoint fails the counter keeps
-				// climbing past the trigger, and the next multiple retries.
-				if n := inst.foldsSinceCkpt.Add(1); g.store.foldEvery > 0 && n%int64(g.store.foldEvery) == 0 {
-					g.store.kickInstance(inst)
-				}
+				g.store.afterFold(inst)
 			}
 			return stats, err
 		},
@@ -364,7 +364,7 @@ func (g *registry) restore(rec recoveredModel) error {
 	if err != nil {
 		return err
 	}
-	inst.ckptGen.Store(rec.gen)
+	inst.recovered(rec.gen)
 	g.mu.Lock()
 	if _, exists := g.models[rec.name]; exists || len(g.models) >= g.opt.MaxModels {
 		full := len(g.models)
@@ -398,23 +398,37 @@ func (g *registry) retire(insts []*instance) {
 	}
 }
 
-// size counts the registered models under the registry mutex alone, so a
-// liveness probe never waits on a model's fold the way infos does.
+// size counts the registered models.
 func (g *registry) size() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.models)
 }
 
-// infos snapshots every entry's identity and stream counters, sorted by
-// name for stable rendering.
-func (g *registry) infos() []modelInfo {
+// lookup returns the instance registered under name, or nil, without
+// touching its LRU slot.
+func (g *registry) lookup(name string) *instance {
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.models[name]
+}
+
+// instances lists the registered instances.
+func (g *registry) instances() []*instance {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	insts := make([]*instance, 0, len(g.models))
 	for _, inst := range g.models {
 		insts = append(insts, inst)
 	}
-	g.mu.Unlock()
+	return insts
+}
+
+// infos snapshots every entry's identity and stream counters, sorted by
+// name for stable rendering. Each model's state comes from one snapshot, so
+// a scrape never waits on a fold.
+func (g *registry) infos() []modelInfo {
+	insts := g.instances()
 	out := make([]modelInfo, 0, len(insts))
 	for _, inst := range insts {
 		snap := inst.model.Snapshot()
@@ -427,7 +441,7 @@ func (g *registry) infos() []modelInfo {
 			Classes:            cfg.Classes,
 			Sensors:            inst.encfg.Sensors,
 			Strategy:           inst.model.Strategy().String(),
-			Targets:            inst.model.TargetInfos(),
+			Targets:            snap.Targets(),
 			Rollback:           inst.rollbacks.Load(),
 			Stream:             inst.stream.Stats(),
 			Breaker:            brState,

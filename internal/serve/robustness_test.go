@@ -9,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"go-arxiv/smore/internal/fault"
+	"go-arxiv/smore/internal/model"
 )
 
 // enableFault arms a fault spec for one test and guarantees it is disarmed
@@ -57,12 +59,8 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("stream adapt: status %d", resp.StatusCode)
 	}
 	waitStreamDrained(t, ts.URL, 8)
-	inst := srv.reg.def.Load()
-	inst.mu.Lock()
-	_, _, serr := inst.model.SpawnTarget("shifted", 4, false)
-	inst.mu.Unlock()
-	if serr != nil {
-		t.Fatal(serr)
+	if _, _, err := srv.reg.def.Load().model.SpawnTarget("shifted", 4, false); err != nil {
+		t.Fatal(err)
 	}
 
 	resp = postJSON(t, ts.URL+"/v1/checkpoint", struct{}{})
@@ -279,17 +277,13 @@ func mustGet(t *testing.T, url string) *http.Response {
 }
 
 func TestInFlightCapRejects429WithRetryAfter(t *testing.T) {
-	srv, ts, _, windows := testServerOpts(t, Options{Workers: 2, MaxBatch: 64, MaxInFlight: 1})
-	// Wedge the single admitted slot: hold the instance mutex so an adapt
+	srv, ts, art, windows := testServerOpts(t, Options{Workers: 2, MaxBatch: 64, MaxInFlight: 1})
+	// Wedge the single admitted slot: hold the adapt fold open so the
 	// request blocks inside its handler while admitted.
-	inst := srv.reg.def.Load()
-	inst.mu.Lock()
-	unlocked := false
-	defer func() {
-		if !unlocked {
-			inst.mu.Unlock()
-		}
-	}()
+	rule := &blockingRule{entered: make(chan struct{}), release: make(chan struct{})}
+	art.Model.SetStrategy(model.Strategy{Confidence: rule})
+	release := sync.OnceFunc(func() { close(rule.release) })
+	defer release()
 	done := make(chan int, 1)
 	go func() {
 		resp := postJSON(t, ts.URL+"/v1/adapt", predictRequest{Windows: windows[:2]})
@@ -319,8 +313,7 @@ func TestInFlightCapRejects429WithRetryAfter(t *testing.T) {
 		t.Fatalf("stream stats under overload: status %d", resp.StatusCode)
 	}
 
-	inst.mu.Unlock()
-	unlocked = true
+	release()
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("wedged adapt finished with status %d", code)
 	}

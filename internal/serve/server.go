@@ -3,17 +3,18 @@
 // unlabeled batches, a streaming adaptation queue, model export, a named
 // multi-model registry with LRU eviction, and health/metrics endpoints.
 //
-// Prediction is completely lock-free: each ensemble publishes an immutable
-// snapshot after every fold, and a predict request scores its whole batch
-// against one atomically-loaded snapshot, so heavy prediction traffic never
-// stalls behind adaptation or export. Adaptation folds and model export
-// (which flushes accumulator staging state) serialize on a short per-model
-// mutex. The streaming path encodes on the worker pool with no lock held
-// and only takes that per-model mutex for the fold step.
+// Every read is lock-free: each ensemble publishes an immutable snapshot
+// after every change — carrying its prototypes, target list, rollback
+// checkpoint and version — and a predict request scores its whole batch
+// against one atomically-loaded snapshot, as stats, listings and metrics
+// read theirs, so no read ever stalls behind adaptation or export. Every
+// change to a model (adaptation folds, spawns, rollbacks, and model export,
+// which flushes accumulator staging state) serializes on the ensemble's own
+// mutex, the one per-model lock. The streaming path encodes on the worker
+// pool with no lock held and only takes that lock for the fold step.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -65,11 +66,15 @@ type Options struct {
 	// recovers the last good generation of every model found there.
 	StateDir string
 	// CheckpointInterval is the periodic checkpoint cadence for instances
-	// with unpersisted folds; <= 0 disables the ticker (checkpoints still
-	// happen on the fold trigger, the checkpoint routes, and shutdown).
+	// whose model changed (any fold, spawn, rollback, upload or swap) since
+	// their newest generation; <= 0 disables the ticker (checkpoints still
+	// happen on the change-count trigger, the checkpoint routes, and
+	// shutdown).
 	CheckpointInterval time.Duration
-	// CheckpointFolds checkpoints an instance after that many successful
-	// stream folds since its last checkpoint; <= 0 disables the trigger.
+	// CheckpointFolds checkpoints an instance once that many model changes
+	// (each stream fold is one, a drift spawn one more) have accumulated
+	// since its newest generation, checked after each stream fold; <= 0
+	// disables the trigger.
 	CheckpointFolds int
 
 	// RequestTimeout bounds each model-route request's handler work; past
@@ -169,7 +174,7 @@ func New(b *pipeline.Bundle, opt Options) (*Server, error) {
 	s.reg.mu.Unlock()
 	for _, rec := range recovered {
 		if rec.name == DefaultModel {
-			def.ckptGen.Store(rec.gen)
+			def.recovered(rec.gen)
 			continue
 		}
 		if err := s.reg.restore(rec); err != nil {
@@ -502,16 +507,16 @@ func (s *Server) predict(inst *instance, w *responseRecorder, r *http.Request) e
 }
 
 // parseStrategy resolves a request's optional strategy spec, mapping an
-// unregistered name to a 400. ok reports whether the request selected one.
-func parseStrategy(spec string) (strat model.Strategy, ok bool, err error) {
+// unregistered name to a 400. It returns nil when the request selected none.
+func parseStrategy(spec string) (*model.Strategy, error) {
 	if spec == "" {
-		return model.Strategy{}, false, nil
+		return nil, nil
 	}
-	strat, perr := model.ParseStrategySpec(spec)
-	if perr != nil {
-		return model.Strategy{}, false, &httpError{http.StatusBadRequest, codeUnknownStrategy, perr.Error()}
+	strat, err := model.ParseStrategySpec(spec)
+	if err != nil {
+		return nil, &httpError{http.StatusBadRequest, codeUnknownStrategy, err.Error()}
 	}
-	return strat, true, nil
+	return &strat, nil
 }
 
 func (s *Server) adapt(inst *instance, w *responseRecorder, r *http.Request) error {
@@ -521,7 +526,7 @@ func (s *Server) adapt(inst *instance, w *responseRecorder, r *http.Request) err
 	if err := s.decodeWindows(w, r, sc, &req); err != nil {
 		return err
 	}
-	strat, setStrat, err := parseStrategy(req.Strategy)
+	strat, err := parseStrategy(req.Strategy)
 	if err != nil {
 		return err
 	}
@@ -529,22 +534,16 @@ func (s *Server) adapt(inst *instance, w *responseRecorder, r *http.Request) err
 	if err != nil {
 		return err
 	}
+	// A synchronous fold reports its own failure in the response, so it
+	// feeds neither the stream breaker nor the drift trajectory. Like every
+	// change it publishes, which makes it durable on the next checkpoint.
 	done := s.met.stage("adapt")
-	inst.mu.Lock()
-	// Installing the strategy inside the same critical section as the fold
-	// pairs them atomically: concurrent adapts with different strategies
-	// each fold under their own.
-	if setStrat {
-		inst.model.SetStrategy(strat)
-	}
-	stats, aerr := inst.model.AdaptIncremental(hvs, s.opt.Workers)
-	adapted := inst.model.Adapted()
-	used := inst.model.Strategy().String()
-	inst.mu.Unlock()
+	stats, aerr := inst.model.AdaptIncrementalWith(strat, hvs, s.opt.Workers)
 	done()
 	if aerr != nil {
 		return adaptError(aerr)
 	}
+	adapted, used := inst.model.Adapted(), inst.model.Strategy().String()
 	return writeJSON(w, http.StatusOK, adaptResponse{Stats: stats, Adapted: adapted, Strategy: used})
 }
 
@@ -605,7 +604,7 @@ func (s *Server) streamAdapt(inst *instance, w *responseRecorder, r *http.Reques
 	if err := s.decodeWindows(w, r, new(windowScratch), &req); err != nil {
 		return err
 	}
-	strat, setStrat, err := parseStrategy(req.Strategy)
+	strat, err := parseStrategy(req.Strategy)
 	if err != nil {
 		return err
 	}
@@ -630,8 +629,8 @@ func (s *Server) streamAdapt(inst *instance, w *responseRecorder, r *http.Reques
 	// current strategy, so a request's strategy takes effect for its own
 	// windows and everything folded after them — until another request
 	// selects a different one.
-	if setStrat {
-		inst.model.SetStrategy(strat)
+	if strat != nil {
+		inst.model.SetStrategy(*strat)
 	}
 	depth, err := inst.stream.Enqueue(req.Windows)
 	switch {
@@ -657,16 +656,17 @@ type streamStatsResponse struct {
 	HasCheckpoint bool               `json:"has_checkpoint"`
 }
 
-// streamStats reports the instance's streaming queue counters and the target
-// set the drift policy has grown on its model.
+// streamStats reports the instance's streaming queue counters and, from one
+// snapshot, the target set the drift policy has grown on its model.
 func (s *Server) streamStats(inst *instance, w *responseRecorder, r *http.Request) error {
-	infos := inst.model.TargetInfos()
+	snap := inst.model.Snapshot()
+	infos := snap.Targets()
 	return writeJSON(w, http.StatusOK, streamStatsResponse{
 		Stats:         inst.stream.Stats(),
 		Targets:       infos,
 		TargetsLive:   len(infos),
 		Rollbacks:     inst.rollbacks.Load(),
-		HasCheckpoint: inst.model.HasCheckpoint(),
+		HasCheckpoint: snap.HasCheckpoint(),
 	})
 }
 
@@ -677,9 +677,7 @@ func (s *Server) streamStats(inst *instance, w *responseRecorder, r *http.Reques
 // it answers 409 no_checkpoint.
 func (s *Server) streamRollback(inst *instance, w *responseRecorder, r *http.Request) error {
 	done := s.met.stage("rollback")
-	inst.mu.Lock()
 	err := inst.model.Rollback()
-	inst.mu.Unlock()
 	done()
 	if err != nil {
 		if errors.Is(err, model.ErrNoCheckpoint) {
@@ -689,7 +687,7 @@ func (s *Server) streamRollback(inst *instance, w *responseRecorder, r *http.Req
 	}
 	inst.stream.ResetDrift()
 	inst.rollbacks.Add(1)
-	infos := inst.model.TargetInfos()
+	infos := inst.model.Snapshot().Targets()
 	return writeJSON(w, http.StatusOK, map[string]any{
 		"rolled_back":  true,
 		"targets":      infos,
@@ -698,23 +696,19 @@ func (s *Server) streamRollback(inst *instance, w *responseRecorder, r *http.Req
 }
 
 // export writes the instance's canonical bundle bytes. Serialization
-// flushes accumulator staging state, so it takes the per-model mutex;
+// flushes accumulator staging state, so it takes the model's mutex;
 // predictions keep flowing off the published snapshot meanwhile.
 func (s *Server) export(inst *instance, w *responseRecorder, r *http.Request) error {
 	done := s.met.stage("export")
-	var buf bytes.Buffer
-	inst.mu.Lock()
-	b := pipeline.Bundle{Encoder: inst.encfg, Model: inst.model}
-	_, werr := b.WriteTo(&buf)
-	inst.mu.Unlock()
+	raw, _, err := inst.encode()
 	done()
-	if werr != nil {
-		return werr
+	if err != nil {
+		return err
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(buf.Len()))
-	_, werr = w.Write(buf.Bytes())
-	return werr
+	w.Header().Set("Content-Length", fmt.Sprint(len(raw)))
+	_, err = w.Write(raw)
+	return err
 }
 
 // listModels reports every registry entry's identity, state, and streaming

@@ -323,9 +323,10 @@ func (r *blockingRule) Assess(scores []float64) (int, float64, float64) {
 	return model.MarginConfidence{}.Assess(scores)
 }
 
-// TestHealthzAnswersDuringFold pins that the liveness probe never waits on
-// an adaptation fold: /healthz must answer while a fold holds the model's
-// mutator lock.
+// TestHealthzAnswersDuringFold pins that no read waits on an adaptation
+// fold: while a fold holds the model's mutator lock, the liveness probe,
+// the metrics scrape, the registry listing and the stream stats must all
+// answer from the published snapshot.
 func TestHealthzAnswersDuringFold(t *testing.T) {
 	_, ts, art, windows := testServer(t)
 	rule := &blockingRule{entered: make(chan struct{}), release: make(chan struct{})}
@@ -354,13 +355,29 @@ func TestHealthzAnswersDuringFold(t *testing.T) {
 		t.Fatal("the adapt fold never started")
 	}
 
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("/healthz did not answer while a fold held the model lock: %v", err)
-	}
-	if h := decodeBody[map[string]any](t, resp); resp.StatusCode != http.StatusOK || h["models"] != 1.0 {
-		t.Fatalf("/healthz during a fold = %d %v, want 200 with one model", resp.StatusCode, h)
+	client := &http.Client{Timeout: 2 * time.Second}
+	for _, tt := range []struct {
+		name, path, want string
+	}{
+		{"healthz", "/healthz", `"models":1`},
+		{"metrics", "/metrics", "smore_models 1"},
+		{"models", "/v1/models", `"name":"default"`},
+		{"stream_stats", "/v1/stream/stats", `"has_checkpoint":false`},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			resp, err := client.Get(ts.URL + tt.path)
+			if err != nil {
+				t.Fatalf("%s did not answer while a fold held the model lock: %v", tt.path, err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), tt.want) {
+				t.Fatalf("%s during a fold = %d %s, want 200 with %s", tt.path, resp.StatusCode, raw, tt.want)
+			}
+		})
 	}
 	release()
 	if err := <-adapted; err != nil {
@@ -519,7 +536,7 @@ func TestStreamAdaptFoldsInBackground(t *testing.T) {
 // (nothing is silently dropped or blocked), and the queue keeps accepting
 // once drained.
 func TestStreamAdaptBackpressure(t *testing.T) {
-	srv, ts, _, windows := testServerOpts(t, Options{Workers: 2, MaxBatch: 64, StreamQueue: 2, StreamBatch: 1})
+	srv, ts, art, windows := testServerOpts(t, Options{Workers: 2, MaxBatch: 64, StreamQueue: 2, StreamBatch: 1})
 
 	// Larger than the whole queue ⇒ can never fit ⇒ terminal 413, not a
 	// retry-later signal, and not a counted queue drop.
@@ -532,13 +549,12 @@ func TestStreamAdaptBackpressure(t *testing.T) {
 		t.Fatalf("stats %+v: a 413 must not touch the queue counters", st)
 	}
 
-	// Genuine transient fullness: hold the default instance's fold mutex so
-	// the worker blocks in its fold, let it take one window in-flight, fill
-	// the queue to capacity, and then a batch that would fit an empty queue
-	// gets 429.
-	def := srv.reg.def.Load()
-	def.mu.Lock()
-	unlock := sync.OnceFunc(def.mu.Unlock)
+	// Genuine transient fullness: hold the worker's fold open, let it take
+	// one window in-flight, fill the queue to capacity, and then a batch
+	// that would fit an empty queue gets 429.
+	rule := &blockingRule{entered: make(chan struct{}), release: make(chan struct{})}
+	art.Model.SetStrategy(model.Strategy{Confidence: rule})
+	unlock := sync.OnceFunc(func() { close(rule.release) })
 	defer unlock()
 	resp = postJSON(t, ts.URL+"/v1/stream/adapt", predictRequest{Windows: windows[:1]})
 	resp.Body.Close()

@@ -18,7 +18,9 @@
 # SME2 bundle export/upload. A drift-policy server then streams a harsh
 # second-shift split: the detector spawns a second target, stats/metrics
 # report the transition, and POST /v1/stream/rollback restores the
-# pre-drift bundle byte-identically. Used by `make e2e` and CI.
+# pre-drift bundle byte-identically. The chaos section kills servers with
+# -9: one after a checkpoint with windows still queued, one after a hot
+# swap. Used by `make e2e` and CI.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
@@ -126,8 +128,13 @@ code=$(curl -s -o "$tmp/err_trailing.json" -w '%{http_code}' -X POST -H 'Content
 grep -q '"error":{"code":"trailing_data"' "$tmp/err_trailing.json" \
   || fail "trailing-garbage error is not the {\"error\":{\"code\",\"message\"}} envelope: $(cat "$tmp/err_trailing.json")"
 
-# The loaded bundle must also re-evaluate identically through the CLI.
-"$tmp/smore" eval -dim 512 -sensors 2 -classes 3 -window 16 -per-class 8 -seed 7 \
+# The loaded bundle must also re-evaluate identically through the CLI. Its
+# config sets the encoder shape, so eval rejects the flags it would override.
+code=0
+"$tmp/smore" eval -dim 512 -load "$tmp/model.smore" >/dev/null 2>"$tmp/eval_dim.err" || code=$?
+[ "$code" = "2" ] || fail "smore eval -load -dim exited $code, want 2"
+grep -q -- '-dim' "$tmp/eval_dim.err" || fail "smore eval -load -dim did not name the flag: $(cat "$tmp/eval_dim.err")"
+"$tmp/smore" eval -sensors 2 -classes 3 -window 16 -per-class 8 -seed 7 \
   -load "$tmp/model.smore" -json >"$tmp/loaded.json"
 "$tmp/smore" train -dim 512 -levels 8 -ngram 2 -sensors 2 -classes 3 -window 16 \
   -per-class 8 -seed 7 -json >"$tmp/fresh.json"
@@ -456,12 +463,42 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: applicat
 drain_chaos 96
 echo "e2e: kill -9 recovery, checkpoint byte-identity, rollback survival OK"
 
-# SIGTERM must drain cleanly: all three streaming servers exit 0, and the
-# revived chaos server writes its final checkpoint on the way out.
-kill -TERM "$stream_pid" "$tiny_pid" "$drift_pid" "$chaos_pid"
+# The revived chaos server drains cleanly on SIGTERM, writing its final
+# checkpoint on the way out, and frees its address for the next case.
+kill -TERM "$chaos_pid"
+wait "$chaos_pid" || fail "chaos server did not shut down cleanly on SIGTERM"
+
+# A crash after a hot swap must keep the swap: the periodic checkpointer
+# saves every model whose version moved, an upload included, so two
+# intervals after the 200 the swapped-in bundle is what a restart serves.
+SWAP_ADDR="$CHAOS_ADDR"
+"$tmp/smore-serve" -load "$tmp/source.smore" -addr "$SWAP_ADDR" \
+  -state-dir "$tmp/swap-state" -checkpoint-interval 200ms &
+swap_pid=$!
+pids+=("$swap_pid")
+wait_healthz "$SWAP_ADDR" "$swap_pid"
+code=$(curl -s -o "$tmp/swap_up.json" -w '%{http_code}' -X POST \
+  --data-binary "@$tmp/model.smore" "http://$SWAP_ADDR/v1/models/default")
+[ "$code" = "200" ] || fail "swap upload returned $code, want 200"
+sleep 0.5
+kill -9 "$swap_pid"
+wait "$swap_pid" 2>/dev/null || true
+"$tmp/smore-serve" -load "$tmp/source.smore" -addr "$SWAP_ADDR" \
+  -state-dir "$tmp/swap-state" -checkpoint-interval 200ms &
+swap_pid=$!
+pids+=("$swap_pid")
+wait_healthz "$SWAP_ADDR" "$swap_pid"
+curl -fsS "http://$SWAP_ADDR/v1/model" -o "$tmp/swap_recovered.smore"
+cmp "$tmp/model.smore" "$tmp/swap_recovered.smore" \
+  || fail "a kill -9 after a hot swap recovered the replaced bundle, not the swapped-in one"
+echo "e2e: kill -9 after a hot swap keeps the swap OK"
+
+# SIGTERM must drain cleanly: every server still up exits 0, and the
+# revived swap server writes its final checkpoint on the way out.
+kill -TERM "$stream_pid" "$tiny_pid" "$drift_pid" "$swap_pid"
 wait "$stream_pid" || fail "stream server did not shut down cleanly on SIGTERM"
 wait "$tiny_pid" || fail "tiny-queue server did not shut down cleanly on SIGTERM"
 wait "$drift_pid" || fail "drift server did not shut down cleanly on SIGTERM"
-wait "$chaos_pid" || fail "chaos server did not shut down cleanly on SIGTERM"
+wait "$swap_pid" || fail "swap server did not shut down cleanly on SIGTERM"
 
 echo "e2e serve OK"
