@@ -23,13 +23,13 @@
 // Durability: with -state-dir every model's bundle (and drift-rollback
 // checkpoint) is persisted there via temp-file + fsync + atomic rename — on
 // the -checkpoint-interval cadence for every model that changed (a fold,
-// spawn, rollback, upload or swap), after every -checkpoint-folds changes,
-// on POST .../checkpoint, and at shutdown. A change acknowledged with a 2xx
-// is on disk within one -checkpoint-interval plus one checkpoint's
-// duration. On restart the last good generation of every model is
-// recovered; torn or corrupt files fall back to the previous generation, so
-// a kill -9 mid-write never loses more than the changes since the last
-// checkpoint.
+// strategy change, spawn, rollback, upload or swap), after every
+// -checkpoint-folds changes, on POST .../checkpoint, and at shutdown. A
+// change acknowledged with a 2xx is on disk within one -checkpoint-interval
+// plus one checkpoint's duration. On restart the last good generation of
+// every model is recovered; torn or corrupt files fall back to the previous
+// generation, so a kill -9 mid-write never loses more than the changes since
+// the last checkpoint.
 //
 // Overload protection: -request-timeout bounds each request's handler work
 // (503 deadline_exceeded past it), -max-in-flight caps concurrently admitted
@@ -66,7 +66,6 @@ import (
 	"time"
 
 	"go-arxiv/smore/internal/fault"
-	"go-arxiv/smore/internal/model"
 	"go-arxiv/smore/internal/pipeline"
 	"go-arxiv/smore/internal/serve"
 	"go-arxiv/smore/internal/stream"
@@ -146,13 +145,12 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute, "maximum duration for writing a response")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for in-flight requests, then again for the stream queue")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (opt-in; a bare port like 6060 binds localhost); empty disables")
-		strategy     = flag.String("strategy", "", "override the default model's adaptation strategy (confidence+constant+update; empty keeps the bundle's)")
 		driftPolicy  = flag.String("drift-policy", "", "spawn fresh target domains on streamed drift: none | spawn[:threshold] | spawn+retire[:threshold] (empty = none, EMA still tracked)")
 		maxTargets   = flag.Int("max-targets", 0, "live-target cap per model under a retiring drift policy (0 = default)")
 
 		stateDir     = flag.String("state-dir", "", "durable checkpoint directory; empty disables checkpointing and recovery")
-		ckptInterval = flag.Duration("checkpoint-interval", 30*time.Second, "periodic checkpoint cadence for models changed since their last checkpoint by a fold, spawn, rollback, upload or swap (0 disables the ticker)")
-		ckptFolds    = flag.Int("checkpoint-folds", 0, "checkpoint a model once this many changes (each stream fold is one, a drift spawn one more) accumulate since its last checkpoint, checked after each stream fold (0 disables the trigger)")
+		ckptInterval = flag.Duration("checkpoint-interval", 30*time.Second, "periodic checkpoint cadence for models changed since their last checkpoint by a fold, strategy change, spawn, rollback, upload or swap (0 disables the ticker)")
+		ckptFolds    = flag.Int("checkpoint-folds", 0, "checkpoint a model once this many changes (each stream fold is one, a drift spawn or strategy change one more) accumulate since its last checkpoint, checked after each stream fold (0 disables the trigger)")
 		reqTimeout   = flag.Duration("request-timeout", 0, "per-request handler deadline; past it the request fails 503 deadline_exceeded (0 disables)")
 		maxInFlight  = flag.Int("max-in-flight", 0, "concurrently admitted model-route requests; past the cap requests fail 429 overloaded (0 disables)")
 		brThreshold  = flag.Int("breaker-threshold", 0, "consecutive stream-fold failures that open a model's circuit → 503 adapter_open (0 disables)")
@@ -177,13 +175,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("smore-serve: %v", err)
 	}
-	if *strategy != "" {
-		strat, err := model.ParseStrategySpec(*strategy)
-		if err != nil {
-			log.Fatalf("smore-serve: %v", err)
-		}
-		b.Model.SetStrategy(strat)
-	}
 	policy, err := stream.ParseDriftPolicy(*driftPolicy)
 	if err != nil {
 		log.Fatalf("smore-serve: %v", err)
@@ -202,8 +193,8 @@ func main() {
 		log.Fatalf("smore-serve: %v", err)
 	}
 	mcfg := b.Model.Config()
-	log.Printf("smore-serve: serving %s on %s (dim=%d classes=%d sensors=%d adapted=%v strategy=%s drift-policy=%s stream-queue=%d stream-batch=%d max-models=%d)",
-		*load, *addr, mcfg.Dim, mcfg.Classes, b.Encoder.Sensors, b.Model.Adapted(), b.Model.Strategy(), policy.Name(), *streamQueue, *streamBatch, *maxModels)
+	log.Printf("smore-serve: serving %s on %s (dim=%d classes=%d sensors=%d drift-policy=%s stream-queue=%d stream-batch=%d max-models=%d)",
+		*load, *addr, mcfg.Dim, mcfg.Classes, b.Encoder.Sensors, policy.Name(), *streamQueue, *streamBatch, *maxModels)
 	if *pprofAddr != "" {
 		startPprof(pprofListenAddr(*pprofAddr))
 	}

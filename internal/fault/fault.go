@@ -7,7 +7,7 @@
 //
 // The disabled path is a single atomic load returning immediately, so
 // instrumented production code pays nothing when no faults are armed. Hooks
-// live only on cold paths (checkpoint writes, stream fold/encode closures) —
+// live only on cold paths (atomic file writes, stream fold/encode closures) —
 // never inside //smore:hotpath kernels.
 //
 // Spec grammar (comma-separated entries):
@@ -42,10 +42,10 @@ import (
 // outside this table so a typo in a -fault spec fails fast instead of
 // silently arming nothing.
 var Points = map[string]string{
-	"persist.write":     "checkpoint data write returns a disk error",
-	"persist.torn":      "checkpoint write is torn: only a prefix reaches disk, reported as success",
-	"persist.sync":      "fsync of a checkpoint file fails",
-	"persist.rename":    "atomic rename of a checkpoint file fails",
+	"persist.write":     "atomic file write (checkpoint or saved bundle) returns a disk error",
+	"persist.torn":      "atomic file write is torn: only a prefix reaches disk, reported as success",
+	"persist.sync":      "fsync of an atomically written file fails",
+	"persist.rename":    "rename of an atomically written file into place fails",
 	"stream.encode.err": "streaming micro-batch encode fails",
 	"stream.fold.err":   "streaming fold fails before touching the model",
 	"stream.fold.slow":  "streaming fold stalls for the configured delay",

@@ -88,8 +88,8 @@ func TestRestoreCheckpointRejectsGarbage(t *testing.T) {
 // TestSnapshotCarriesVersionTargetsCheckpoint pins what every publish stamps
 // on the snapshot: each published change moves the version by exactly one,
 // the target list includes a pending spawn, the rollback checkpoint rides
-// along (and survives Rollback), and Encode hands back the snapshot of the
-// state its bytes hold without publishing.
+// along (and survives Rollback), a strategy change is published, and Encode
+// hands back the snapshot of the state its bytes hold without publishing.
 func TestSnapshotCarriesVersionTargetsCheckpoint(t *testing.T) {
 	m, _, phaseA, phaseB := targetFixture(t, 93)
 	version := m.Snapshot().Version()
@@ -137,14 +137,17 @@ func TestSnapshotCarriesVersionTargetsCheckpoint(t *testing.T) {
 	if got := s.Targets(); len(got) != 1 || got[0].Name != "t0" {
 		t.Fatalf("after a rollback Targets() = %+v, want only t0", got)
 	}
-	step("a retire", func() error { return m.RetireTarget("t0") })
+	ema := Strategy{Confidence: EntropyCalConfidence{}, Update: EMAUpdate{}}
+	s = step("a strategy change", func() error { m.SetStrategy(ema); return nil })
+	if got := s.Strategy().String(); got != ema.String() {
+		t.Fatalf("after SetStrategy the snapshot names %s, want %s", got, ema)
+	}
 	s = step("a restore", func() error { return m.RestoreCheckpoint(cp) })
 	if !bytes.Equal(s.CheckpointBytes(), cp) {
 		t.Fatal("RestoreCheckpoint did not republish with the restored checkpoint")
 	}
-	s = step("a reset", func() error { m.ResetAdaptation(); return nil })
-	if s.HasCheckpoint() || len(s.Targets()) != 0 {
-		t.Fatalf("after a reset the snapshot still has a checkpoint or targets %+v", s.Targets())
+	s = step("a load", func() error { _, err := m.ReadFrom(bytes.NewReader(raw)); return err })
+	if got := s.Strategy().String(); got != DefaultStrategy().String() {
+		t.Fatalf("after loading default-strategy bytes the snapshot names %s", got)
 	}
-	step("a load", func() error { _, err := m.ReadFrom(bytes.NewReader(raw)); return err })
 }

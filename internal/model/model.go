@@ -173,18 +173,18 @@ func (t *targetModel) ready() bool { return t.protMat != nil }
 // Ensemble is the multi-domain associative memory: one model per source
 // domain, combined at inference time by similarity-weighted voting, plus a
 // set of named adapted target models (continual adaptation spawns one per
-// detected distribution shift; see SpawnTarget/RetireTarget/Rollback).
+// detected distribution shift; see SpawnTarget/Rollback).
 //
 // Concurrency: the ensemble is a copy-on-write shadow behind an immutable
-// published Snapshot. Mutators — Train, Adapt*, ReadFrom, Encode (and
-// WriteTo), SpawnTarget, RetireTarget, Rollback, RestoreCheckpoint,
-// ResetAdaptation — serialize on an internal mutex, fold into the shadow
-// state, and publish a fresh Snapshot with one atomic pointer swap. Reads go
-// through that snapshot (Snapshot, Adapted, Config; the target list, the
-// rollback checkpoint and the version ride on it) and are completely
-// lock-free, so predictions and stats never stall behind an adaptation fold
-// and always see either the state before a fold or after it, never a
-// half-rebuilt prototype.
+// published Snapshot. Mutators — Train, SetStrategy, Adapt*, ReadFrom,
+// Encode (and WriteTo), SpawnTarget, Rollback, RestoreCheckpoint — serialize
+// on an internal mutex, fold into the shadow state, and publish a fresh
+// Snapshot with one atomic pointer swap. Reads go through that snapshot
+// (Snapshot, Adapted, Config; the strategy, the target list, the rollback
+// checkpoint and the version ride on it) and are completely lock-free, so
+// predictions and stats never stall behind an adaptation fold and always see
+// either the state before a fold or after it, never a half-rebuilt
+// prototype.
 type Ensemble struct {
 	mu      sync.Mutex // serializes mutators; read paths never take it
 	cfg     Config
@@ -196,7 +196,7 @@ type Ensemble struct {
 	// clock behind LRU retirement; spawnSeq numbers auto-generated target
 	// names.
 	// checkpoint holds the canonical encoding of the state captured by the
-	// last SpawnTarget/RetireTarget, for Rollback; nil when none exists.
+	// last SpawnTarget, for Rollback; nil when none exists.
 	targets    []*targetModel
 	active     int
 	spawnSeq   int
@@ -207,11 +207,7 @@ type Ensemble struct {
 	// published at.
 	version uint64
 
-	// strategy is the pluggable adaptation recipe (zero value = default).
-	// It has its own short mutex so Strategy() never blocks behind a long
-	// adaptation fold holding mu; stratMu is only ever taken on its own or
-	// inside mu, never the other way around.
-	stratMu  sync.Mutex
+	// strategy is the pluggable adaptation recipe, every piece filled in.
 	strategy Strategy
 
 	snap atomic.Pointer[Snapshot] // current published read-only view
@@ -219,9 +215,9 @@ type Ensemble struct {
 }
 
 // publish deep-copies the current prototype state into a fresh immutable
-// Snapshot, stamped with the next version, the target list and the rollback
-// checkpoint, and swaps it in as the served view. Callers must hold m.mu and
-// have rebuilt the prototypes first.
+// Snapshot, stamped with the next version, the strategy, the target list and
+// the rollback checkpoint, and swaps it in as the served view. Callers must
+// hold m.mu and have rebuilt the prototypes first.
 //
 //smore:locked
 func (m *Ensemble) publish() {
@@ -232,6 +228,7 @@ func (m *Ensemble) publish() {
 		domMat:     m.domMat.Clone(),
 		active:     -1,
 		version:    m.version,
+		strategy:   m.strategy,
 		infos:      make([]TargetInfo, len(m.targets)),
 		checkpoint: m.checkpoint,
 		pool:       &m.pool,
@@ -302,25 +299,21 @@ func New(cfg Config) (*Ensemble, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Ensemble{cfg: cfg, active: -1}, nil
+	return &Ensemble{cfg: cfg, active: -1, strategy: DefaultStrategy()}, nil
 }
 
 // SetStrategy installs the adaptation strategy used by subsequent Adapt*
-// calls (nil pieces fall back to the default recipe). It is safe to call
-// concurrently with every other method; an adaptation fold already in
-// flight finishes under the strategy it started with.
+// calls (nil pieces fall back to the default recipe). The strategy is part of
+// the encoded bytes, so on a trained ensemble the change publishes like any
+// other; before Train it only installs. It waits for an adaptation fold in
+// flight, which finishes under the strategy it started with.
 func (m *Ensemble) SetStrategy(s Strategy) {
-	m.stratMu.Lock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.strategy = s.withDefaults()
-	m.stratMu.Unlock()
-}
-
-// Strategy returns the currently installed adaptation strategy (the
-// default recipe until SetStrategy or a strategy-carrying ReadFrom runs).
-func (m *Ensemble) Strategy() Strategy {
-	m.stratMu.Lock()
-	defer m.stratMu.Unlock()
-	return m.strategy.withDefaults()
+	if len(m.domains) > 0 {
+		m.publish()
+	}
 }
 
 // Config returns the ensemble's configuration. Like every other read path
@@ -447,7 +440,8 @@ func (s *AdaptStats) Accumulate(o AdaptStats) {
 // are ranked by (confidence, index), so the adapted model and the returned
 // stats are byte-identical for every worker count.
 func (m *Ensemble) AdaptBatch(targets []hdc.Vector, workers int) (AdaptStats, error) {
-	return m.adapt(targets, workers, false, nil)
+	stats, _, err := m.adapt(targets, workers, false, nil)
+	return stats, err
 }
 
 // AdaptIncremental folds one more batch of unlabeled target samples into the
@@ -457,38 +451,41 @@ func (m *Ensemble) AdaptBatch(targets []hdc.Vector, workers int) (AdaptStats, er
 // prototypes and extend the target domain prototype with the new batch.
 // Workers <= 0 means GOMAXPROCS.
 func (m *Ensemble) AdaptIncremental(targets []hdc.Vector, workers int) (AdaptStats, error) {
-	return m.adapt(targets, workers, true, nil)
+	stats, _, err := m.adapt(targets, workers, true, nil)
+	return stats, err
 }
 
 // AdaptIncrementalWith is AdaptIncremental that first installs s, when it is
 // non-nil, in the same critical section as the fold, so concurrent callers
-// that select different strategies each fold under their own.
-func (m *Ensemble) AdaptIncrementalWith(s *Strategy, targets []hdc.Vector, workers int) (AdaptStats, error) {
+// that select different strategies each fold under their own. A call whose
+// inputs fail their checks installs nothing. It returns the snapshot the
+// fold published, which names the strategy the fold ran under.
+func (m *Ensemble) AdaptIncrementalWith(s *Strategy, targets []hdc.Vector, workers int) (AdaptStats, *Snapshot, error) {
 	return m.adapt(targets, workers, true, s)
 }
 
 // adapt runs one adaptation fold into the active target, creating the
-// implicit first target on demand, after installing s when it is non-nil.
-func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool, s *Strategy) (AdaptStats, error) {
+// implicit first target on demand, after installing s when it is non-nil,
+// and returns the snapshot the fold published.
+func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool, s *Strategy) (AdaptStats, *Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s != nil {
-		m.SetStrategy(*s) // stratMu nests inside mu, never the reverse
-	}
 	if len(m.domains) == 0 {
-		return AdaptStats{}, fmt.Errorf("%w: Adapt before Train", ErrNotTrained)
+		return AdaptStats{}, nil, fmt.Errorf("%w: Adapt before Train", ErrNotTrained)
 	}
 	if len(targets) == 0 {
-		return AdaptStats{}, fmt.Errorf("%w: no target samples", ErrInvalidTargets)
+		return AdaptStats{}, nil, fmt.Errorf("%w: no target samples", ErrInvalidTargets)
 	}
 	for i, hv := range targets {
 		if hv.Dim() != m.cfg.Dim {
-			return AdaptStats{}, fmt.Errorf("%w: target %d has dimension %d, model wants %d",
+			return AdaptStats{}, nil, fmt.Errorf("%w: target %d has dimension %d, model wants %d",
 				ErrInvalidTargets, i, hv.Dim(), m.cfg.Dim)
 		}
 	}
-	cfg := m.cfg
-	strat := m.Strategy() // stratMu nests inside mu, never the reverse
+	if s != nil {
+		m.strategy = s.withDefaults()
+	}
+	cfg, strat := m.cfg, m.strategy
 	pool := parallel.NewPool(workers)
 	tgt := m.activeLocked()
 	if tgt == nil {
@@ -592,29 +589,13 @@ func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool, s 
 	m.foldClock++
 	tgt.lastFold = m.foldClock
 	m.publish()
-	return stats, nil
+	return stats, m.snap.Load(), nil
 }
 
 // Adapted reports whether adaptation has produced a target model.
 func (m *Ensemble) Adapted() bool {
 	s := m.snap.Load()
 	return s != nil && s.Adapted()
-}
-
-// ResetAdaptation discards every adapted target model — and the rollback
-// checkpoint — and republishes the source-only snapshot (when the ensemble
-// has been trained).
-func (m *Ensemble) ResetAdaptation() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.targets = nil
-	m.active = -1
-	m.spawnSeq = 0
-	m.foldClock = 0
-	m.checkpoint = nil
-	if len(m.domains) > 0 {
-		m.publish()
-	}
 }
 
 // rank maps a score to a total order for argmax/top2: NaN ranks with -Inf,

@@ -240,10 +240,6 @@ func TestAdaptMechanics(t *testing.T) {
 			t.Fatalf("adapted model predicts class %d as %d", c, got)
 		}
 	}
-	m.ResetAdaptation()
-	if m.Adapted() {
-		t.Fatal("ResetAdaptation did not clear the adapted model")
-	}
 }
 
 // TestAdaptBatchDeterministicAcrossWorkers is the batch-API determinism
@@ -587,7 +583,6 @@ func BenchmarkAdapt(b *testing.B) {
 		if _, err := m.AdaptBatch(targets, 0); err != nil {
 			b.Fatal(err)
 		}
-		m.ResetAdaptation()
 	}
 }
 
@@ -614,6 +609,5 @@ func BenchmarkAdaptBatchLarge(b *testing.B) {
 		if _, err := m.AdaptBatch(targets, 0); err != nil {
 			b.Fatal(err)
 		}
-		m.ResetAdaptation()
 	}
 }

@@ -108,7 +108,7 @@ func (m *Ensemble) encodeLocked(dst []byte) ([]byte, error) {
 	if len(m.domains) == 0 {
 		return nil, fmt.Errorf("model: cannot serialize an untrained ensemble")
 	}
-	strat := m.Strategy() // stratMu nests inside mu, never the reverse
+	strat := m.strategy
 	targets, active := m.persistedTargets()
 	// The historical single-target shape: nothing adapted, or exactly one
 	// target with the auto-generated first name that is also the fold
@@ -480,7 +480,7 @@ func (m *Ensemble) installLocked(st *ensembleState, checkpoint []byte) {
 		t.lastFold = int64(i + 1)
 	}
 	m.checkpoint = checkpoint
-	m.SetStrategy(st.strat) // stratMu nests inside mu; a reload always reflects the file
+	m.strategy = st.strat
 	m.rebuildDomainMatrix()
 	m.publish()
 }

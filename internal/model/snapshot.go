@@ -12,11 +12,11 @@ import (
 
 // Snapshot is an immutable, self-contained view of a trained ensemble: the
 // packed per-domain class-prototype matrices, the packed domain-prototype
-// matrix, the per-class sample counts, the configuration, the adapted
-// target models if any exist, the target list, the rollback checkpoint, and
-// a version. An Ensemble publishes a fresh snapshot after every successful
-// Train, Adapt*, ReadFrom, SpawnTarget, RetireTarget, Rollback,
-// RestoreCheckpoint, and ResetAdaptation via a single atomic pointer swap, so
+// matrix, the per-class sample counts, the configuration, the adaptation
+// strategy, the adapted target models if any exist, the target list, the
+// rollback checkpoint, and a version. An Ensemble publishes a fresh snapshot
+// after every successful Train, SetStrategy, Adapt*, ReadFrom, SpawnTarget,
+// Rollback, and RestoreCheckpoint via a single atomic pointer swap, so
 // every method on a snapshot is lock-free, every scoring method
 // allocation-free in steady state, and all are safe for any number of
 // concurrent callers: a reader either sees the state before a fold or after
@@ -42,10 +42,12 @@ type Snapshot struct {
 	active  int
 
 	// version is the publishing ensemble's publish count at this snapshot;
-	// infos lists every target, pending spawns included; checkpoint is the
+	// strategy is the installed adaptation recipe, every piece filled in; infos
+	// lists every target, pending spawns included; checkpoint is the
 	// rollback checkpoint (nil when none), shared with the ensemble and
 	// never modified.
 	version    uint64
+	strategy   Strategy
 	infos      []TargetInfo
 	checkpoint []byte
 
@@ -128,6 +130,10 @@ func (s *Snapshot) NumTargets() int { return len(s.targets) }
 // snapshot: every published change moves it by one.
 func (s *Snapshot) Version() uint64 { return s.version }
 
+// Strategy returns the adaptation strategy installed when the snapshot was
+// published; on the snapshot a fold returns, the one that fold ran under.
+func (s *Snapshot) Strategy() Strategy { return s.strategy }
+
 // Targets lists the adapted target domains in spawn order, pending spawns
 // included.
 func (s *Snapshot) Targets() []TargetInfo { return slices.Clone(s.infos) }
@@ -136,7 +142,7 @@ func (s *Snapshot) Targets() []TargetInfo { return slices.Clone(s.infos) }
 func (s *Snapshot) HasCheckpoint() bool { return s.checkpoint != nil }
 
 // CheckpointBytes returns the rollback checkpoint (the canonical encoding
-// captured by the last SpawnTarget/RetireTarget), or nil when none exists.
+// captured by the last SpawnTarget), or nil when none exists.
 // The bytes are shared and must not be modified.
 func (s *Snapshot) CheckpointBytes() []byte { return s.checkpoint }
 

@@ -225,35 +225,3 @@ func TestSnapshotNilBeforeTrain(t *testing.T) {
 		t.Fatal("untrained ensemble published a snapshot")
 	}
 }
-
-// TestResetAdaptationRepublishes pins that discarding the adapted model is
-// itself a publication: predictions immediately revert to the source
-// ensemble without waiting for another fold.
-func TestResetAdaptationRepublishes(t *testing.T) {
-	orig, _, probe, batches := snapshotFixture(t)
-	classes := orig.Config().Classes
-	sourceScores := make([]float64, classes)
-	if err := orig.Snapshot().ScoreInto(probe, sourceScores); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orig.AdaptIncremental(batches[0], 1); err != nil {
-		t.Fatal(err)
-	}
-	if !orig.Snapshot().Adapted() {
-		t.Fatal("fold did not publish an adapted snapshot")
-	}
-	orig.ResetAdaptation()
-	snap := orig.Snapshot()
-	if snap == nil || snap.Adapted() {
-		t.Fatal("ResetAdaptation did not republish a source-only snapshot")
-	}
-	got := make([]float64, classes)
-	if err := orig.Snapshot().ScoreInto(probe, got); err != nil {
-		t.Fatal(err)
-	}
-	for c := range sourceScores {
-		if got[c] != sourceScores[c] {
-			t.Fatalf("post-reset score[%d] = %v, want the source-ensemble score %v", c, got[c], sourceScores[c])
-		}
-	}
-}

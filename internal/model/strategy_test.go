@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"go-arxiv/smore/internal/hdc"
@@ -144,8 +145,8 @@ func TestStrategyPersistRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Strategy().String() != strat.String() {
-				t.Fatalf("loaded strategy %s, want %s", got.Strategy(), strat)
+			if got.Snapshot().Strategy().String() != strat.String() {
+				t.Fatalf("loaded strategy %s, want %s", got.Snapshot().Strategy(), strat)
 			}
 			for i, q := range queries {
 				if a, b := m.Snapshot().Predict(q), got.Snapshot().Predict(q); a != b {
@@ -178,6 +179,62 @@ func TestStrategyPersistRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAdaptIncrementalWithReturnsItsFold pins that a fold reports itself:
+// the snapshot it returns names the strategy it ran under and its version
+// even after a later SetStrategy, and a call whose inputs fail their checks
+// installs no strategy.
+func TestAdaptIncrementalWithReturnsItsFold(t *testing.T) {
+	m, queries := trainedEnsemble(t, 55, false)
+	ema := Strategy{Confidence: EntropyCalConfidence{}, Update: EMAUpdate{}}
+	if _, _, err := m.AdaptIncrementalWith(&ema, nil, 1); !errors.Is(err, ErrInvalidTargets) {
+		t.Fatalf("empty batch err = %v, want ErrInvalidTargets", err)
+	}
+	if got := m.Snapshot().Strategy().String(); got != DefaultStrategy().String() {
+		t.Fatalf("a rejected fold installed %s", got)
+	}
+	_, s, err := m.AdaptIncrementalWith(&ema, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s != m.Snapshot() || !s.Adapted() {
+		t.Fatal("AdaptIncrementalWith did not return the adapted snapshot it published")
+	}
+	version := s.Version()
+	m.SetStrategy(DefaultStrategy())
+	if got := s.Strategy().String(); got != ema.String() || s.Version() != version {
+		t.Fatalf("after a later SetStrategy the fold's snapshot names %s at version %d, want %s at %d",
+			got, s.Version(), ema, version)
+	}
+
+	// Concurrent folds that select different strategies each get back the
+	// snapshot of their own fold, while readers load the published one.
+	var wg sync.WaitGroup
+	for _, strat := range []Strategy{ema, DefaultStrategy()} {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				_, s, err := m.AdaptIncrementalWith(&strat, queries, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := s.Strategy().String(); got != strat.String() {
+					t.Errorf("a fold under %s returned a snapshot naming %s", strat, got)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				m.SetStrategy(strat)
+				_ = m.Snapshot().Strategy().String()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestStrategyCorruptNames pins the decode-side validation of the SME2

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"go-arxiv/smore/internal/hdc"
 )
@@ -11,10 +12,6 @@ import (
 // ErrNoCheckpoint marks a Rollback with no checkpointed state to restore —
 // a state conflict (HTTP 409 at the serving layer), like ErrNotTrained.
 var ErrNoCheckpoint = errors.New("model: no checkpoint to roll back to")
-
-// ErrUnknownTarget marks an operation addressing a target name that does not
-// exist — a caller error (HTTP 400/404 at the serving layer).
-var ErrUnknownTarget = errors.New("model: unknown target")
 
 // maxTargetName bounds target names, both on SpawnTarget and on load, so
 // names stay cheap to serialize and safe in logs and metrics labels.
@@ -62,7 +59,9 @@ func (m *Ensemble) addTargetLocked(name string) *targetModel {
 // similarity-weighted source mixture of its own batch. When retire is true
 // and the spawn pushes the target count past maxTargets (> 0), the
 // least-recently-folded non-active target is retired in the same transition.
-// Rollback restores the checkpointed pre-spawn state byte-identically.
+// Rollback restores the checkpointed pre-spawn state byte-identically. Folds
+// serialize with spawns on the ensemble mutex, so a fold in flight completes
+// into its target before that target can be retired.
 func (m *Ensemble) SpawnTarget(name string, maxTargets int, retire bool) (spawned, retired string, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -82,34 +81,12 @@ func (m *Ensemble) SpawnTarget(name string, maxTargets int, retire bool) (spawne
 	if retire && maxTargets > 0 && len(m.targets) > maxTargets {
 		if victim := m.lruTargetLocked(); victim != nil {
 			retired = victim.name
-			m.removeTargetLocked(victim)
+			m.targets = slices.DeleteFunc(m.targets, func(o *targetModel) bool { return o == victim })
+			m.active = len(m.targets) - 1 // the spawn, appended last
 		}
 	}
 	m.publish()
 	return t.name, retired, nil
-}
-
-// RetireTarget checkpoints the current adapted state and removes the named
-// target. Retiring the active target hands the fold destination to the most
-// recently folded remaining target (none left means folds start a fresh
-// implicit target). In-flight folds are never dropped: folds serialize with
-// retirement on the ensemble mutex, so a fold either completes into the
-// target before it leaves or addresses the reassigned destination after.
-func (m *Ensemble) RetireTarget(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.findTargetLocked(name)
-	if t == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownTarget, name)
-	}
-	if err := m.checkpointLocked(); err != nil {
-		return err
-	}
-	m.removeTargetLocked(t)
-	if len(m.domains) > 0 {
-		m.publish()
-	}
-	return nil
 }
 
 // lruTargetLocked picks the least-recently-folded target other than the
@@ -127,46 +104,6 @@ func (m *Ensemble) lruTargetLocked() *targetModel {
 	return victim
 }
 
-// removeTargetLocked drops t from the target set, reassigning the active
-// fold destination to the most recently folded remaining target when t held
-// it. Callers must hold m.mu.
-func (m *Ensemble) removeTargetLocked(t *targetModel) {
-	keep := m.activeLocked()
-	m.targets = slicesDelete(m.targets, t)
-	m.active = -1
-	if keep != nil && keep != t {
-		for i, o := range m.targets {
-			if o == keep {
-				m.active = i
-			}
-		}
-		return
-	}
-	if keep == t {
-		var best int64 = -1
-		for i, o := range m.targets {
-			if o.lastFold > best {
-				best = o.lastFold
-				m.active = i
-			}
-		}
-	}
-}
-
-func slicesDelete(ts []*targetModel, t *targetModel) []*targetModel {
-	out := ts[:0]
-	for _, o := range ts {
-		if o != t {
-			out = append(out, o)
-		}
-	}
-	// Clear the freed tail slot so the retired target is not pinned.
-	for i := len(out); i < len(ts); i++ {
-		ts[i] = nil
-	}
-	return out
-}
-
 // checkpointLocked captures the canonical encoding of the current state so
 // Rollback can restore it. An untrained ensemble cannot be encoded (and has
 // nothing to protect), so spawning before Train fails earlier. Callers must
@@ -180,11 +117,11 @@ func (m *Ensemble) checkpointLocked() error {
 	return nil
 }
 
-// Rollback restores the state checkpointed by the most recent SpawnTarget or
-// RetireTarget — configuration, strategy, source domains, and the full
-// pre-transition target set — byte-identically (the codec is canonical). The
-// checkpoint survives the rollback, so repeating it is idempotent. With no
-// checkpoint it returns ErrNoCheckpoint.
+// Rollback restores the state checkpointed by the most recent SpawnTarget —
+// configuration, strategy, source domains, and the full pre-spawn target
+// set — byte-identically (the codec is canonical). The checkpoint survives
+// the rollback, so repeating it is idempotent. With no checkpoint it returns
+// ErrNoCheckpoint.
 func (m *Ensemble) Rollback() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

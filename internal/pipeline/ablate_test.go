@@ -122,7 +122,7 @@ func TestTrainAppliesStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := art.Model.Strategy().String(); got != "entropy-cal+constant+ema" {
+	if got := art.Model.Snapshot().Strategy().String(); got != "entropy-cal+constant+ema" {
 		t.Fatalf("trained model strategy %q, want entropy-cal+constant+ema", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"go-arxiv/smore/internal/encode"
+	"go-arxiv/smore/internal/fault"
 	"go-arxiv/smore/internal/model"
 )
 
@@ -94,19 +95,30 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 	return &Bundle{Encoder: cfg, Model: mdl}, nil
 }
 
-// SaveFile writes the bundle to path, replacing any existing file only once
-// the new bytes are fully on disk: the write goes to a temp file in the same
-// directory which is renamed into place, so a failed save can never destroy
-// a previously good bundle.
+// SaveFile writes the bundle's canonical bytes to path with WriteFileAtomic,
+// so a failed save can never destroy a previously good bundle.
 func (b *Bundle) SaveFile(path string) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		// A bare filename must stage its temp file in the working directory:
-		// CreateTemp("") falls back to the system temp dir, which is often a
-		// different filesystem where the final rename cannot work.
-		dir = "."
+	raw, _, err := b.Encode()
+	if err != nil {
+		return err
 	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
+	return WriteFileAtomic(path, raw)
+}
+
+// WriteFileAtomic lands data under path crash-safely: temp file in the same
+// directory, full write, fsync, atomic rename, directory fsync, so path holds
+// either its old bytes or all of data. The persist.* fault points hook each
+// step so chaos tests can exercise every failure mode (including a torn
+// write the kernel claimed succeeded).
+func WriteFileAtomic(path string, data []byte) error {
+	if err := fault.Maybe("persist.write"); err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	// Dir of a bare filename is ".", never "": CreateTemp("") would stage the
+	// file in the system temp dir, often another filesystem, where the final
+	// rename cannot work.
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -116,11 +128,13 @@ func (b *Bundle) SaveFile(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	w := bufio.NewWriter(f)
-	if _, err := b.WriteTo(w); err != nil {
+	if _, err := fault.Writer("persist.torn", f).Write(data); err != nil {
 		return cleanup(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := fault.Maybe("persist.sync"); err != nil {
+		return cleanup(fmt.Errorf("syncing %s: %w", tmp, err))
+	}
+	if err := f.Sync(); err != nil {
 		return cleanup(err)
 	}
 	if err := f.Close(); err != nil {
@@ -131,9 +145,19 @@ func (b *Bundle) SaveFile(path string) error {
 		os.Remove(tmp)
 		return err
 	}
+	if err := fault.Maybe("persist.rename"); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("renaming %s: %w", path, err)
+	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
+	}
+	// Make the rename itself durable. Best-effort: some filesystems reject
+	// directory fsync, and the data file is already synced.
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
 	return nil
 }

@@ -13,8 +13,8 @@ import (
 
 // DriftConfig parameterizes the second phase of a two-shift drift replay.
 type DriftConfig struct {
-	// Policy decides when the replay spawns a fresh target; nil means the
-	// "none" policy (the replay then measures how a single target degrades).
+	// Policy decides when the replay spawns a fresh target; the zero value
+	// is "none" (the replay then measures how a single target degrades).
 	Policy stream.DriftPolicy
 	// MaxTargets bounds the live target set under a retiring policy;
 	// <= 0 means stream.DefaultMaxTargets.
@@ -118,9 +118,6 @@ func (a *Artifacts) StreamEvaluateDrift(batchSize int, dcfg DriftConfig) (*Drift
 	}
 	if dcfg.Seed == 0 {
 		dcfg.Seed = a.Config.Data.Seed
-	}
-	if dcfg.Policy == nil {
-		dcfg.Policy = stream.NoDrift{}
 	}
 
 	bSamples, err := a.DriftSplit(dcfg)

@@ -15,7 +15,7 @@ func TestStreamEvaluateDriftSpawnsAndBeatsFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := art.StreamEvaluateDrift(8, DriftConfig{Policy: stream.SpawnOnDrift{Threshold: 0.04}})
+	res, err := art.StreamEvaluateDrift(8, DriftConfig{Policy: stream.DriftPolicy{Spawn: true, Threshold: 0.04}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"go-arxiv/smore/internal/data"
 	"go-arxiv/smore/internal/encode"
+	"go-arxiv/smore/internal/fault"
 	"go-arxiv/smore/internal/model"
 )
 
@@ -337,6 +338,28 @@ func TestBundleFileRoundTrip(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("bundle directory holds %d entries after re-save, want 1", len(entries))
+	}
+
+	// A save whose fsync fails must leave the old bytes at the path and no
+	// temp file beside them.
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art.Model.SetStrategy(model.Strategy{Update: model.EMAUpdate{}}) // new bytes
+	if err := fault.Enable("persist.sync", 1); err != nil {
+		t.Fatal(err)
+	}
+	err = art.Bundle().SaveFile(path)
+	fault.Disable()
+	if !fault.IsInjected(err) {
+		t.Fatalf("SaveFile with a failing fsync: err = %v, want the injected failure", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("a failed save changed the bundle at the path (err %v)", err)
+	}
+	if entries, err = os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("bundle directory holds %d entries after a failed save, want 1 (err %v)", len(entries), err)
 	}
 
 	// A bare relative filename must also save (temp file staged in the

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"go-arxiv/smore/internal/fault"
 	"go-arxiv/smore/internal/pipeline"
 )
 
@@ -22,14 +21,14 @@ import (
 //	<state-dir>/<model>/gen-<seq>.smore         canonical bundle bytes (SMB1)
 //	<state-dir>/<model>/gen-<seq>.rollback      drift-rollback checkpoint (SME*), optional
 //
-// Every file lands via temp-file + fsync + atomic rename (plus a directory
-// fsync), so a crash at any instant leaves either the old or the new
-// generation intact — never a half-written one under its final name. The
-// manifest keeps keepGenerations entries; recovery walks them newest-first
-// and serves the first generation whose bundle passes the full SMB1/SME1/2/3
-// validation, so a torn or bit-flipped newest generation falls back to the
-// previous good one. A manifest that is itself torn degrades to a directory
-// scan.
+// Every file lands via pipeline.WriteFileAtomic (temp file, fsync, atomic
+// rename, directory fsync), so a crash at any instant leaves either the old
+// or the new generation intact — never a half-written one under its final
+// name. The manifest keeps keepGenerations entries; recovery walks them
+// newest-first and serves the first generation whose bundle passes the full
+// SMB1/SME1/2/3 validation, so a torn or bit-flipped newest generation falls
+// back to the previous good one. A manifest that is itself torn degrades to a
+// directory scan.
 
 const (
 	manifestName = "MANIFEST.json"
@@ -158,13 +157,13 @@ func (st *stateStore) save(name string, bundle, rollback []byte) (int64, error) 
 	st.gens[name]++
 	gen := st.gens[name]
 	entry := manifestEntry{Gen: gen, Bundle: genFile(gen), BundleSHA256: sha256hex(bundle)}
-	if err := writeFileAtomic(filepath.Join(dir, entry.Bundle), bundle); err != nil {
+	if err := pipeline.WriteFileAtomic(filepath.Join(dir, entry.Bundle), bundle); err != nil {
 		return 0, err
 	}
 	if rollback != nil {
 		entry.Rollback = rollbackFile(gen)
 		entry.RollbackSHA256 = sha256hex(rollback)
-		if err := writeFileAtomic(filepath.Join(dir, entry.Rollback), rollback); err != nil {
+		if err := pipeline.WriteFileAtomic(filepath.Join(dir, entry.Rollback), rollback); err != nil {
 			return 0, err
 		}
 	}
@@ -179,7 +178,7 @@ func (st *stateStore) save(name string, bundle, rollback []byte) (int64, error) 
 	if err != nil {
 		return 0, err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
+	if err := pipeline.WriteFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
 		return 0, err
 	}
 	for _, e := range prune {
@@ -323,59 +322,6 @@ func (st *stateStore) recoverModel(name string) (recoveredModel, bool) {
 		st.logf("serve: state: model %q has no recoverable generation; starting clean", name)
 	}
 	return recoveredModel{}, false
-}
-
-// writeFileAtomic lands data under path crash-safely: temp file in the same
-// directory, full write, fsync, atomic rename, directory fsync. The
-// persist.* fault points hook each step so chaos tests can exercise every
-// failure mode (including a torn write the kernel claimed succeeded).
-func writeFileAtomic(path string, data []byte) error {
-	if err := fault.Maybe("persist.write"); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := fault.Writer("persist.torn", f).Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := fault.Maybe("persist.sync"); err != nil {
-		return cleanup(fmt.Errorf("syncing %s: %w", tmp, err))
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := fault.Maybe("persist.rename"); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("renaming %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Make the rename itself durable. Best-effort: some filesystems reject
-	// directory fsync, and the data file is already synced.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // runCheckpointer is the background checkpoint loop: a periodic pass over

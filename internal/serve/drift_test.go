@@ -79,7 +79,7 @@ func TestStreamRollbackWithoutCheckpoint(t *testing.T) {
 func TestDriftSpawnStatsAndRollback(t *testing.T) {
 	_, ts, _, windows := testServerOpts(t, Options{
 		Workers: 2, MaxBatch: 64, StreamBatch: 8,
-		DriftPolicy: stream.SpawnOnDrift{}, MaxTargets: 4,
+		DriftPolicy: stream.DriftPolicy{Spawn: true}, MaxTargets: 4,
 	})
 
 	// Phase A: three 8-window folds build target t0 and seed the EMA.

@@ -99,10 +99,11 @@ func postStatus(t *testing.T, url, contentType string, body []byte, status int) 
 
 // TestDurabilityContract pins the durability contract: a change acknowledged
 // with a 2xx is on disk within one checkpoint interval plus one
-// checkpoint's duration, whichever route made it. Each row first makes the
-// served state durable with an explicit checkpoint, then changes the model
-// through one route, and then the newest manifest generation must become
-// byte-equal to the model's export.
+// checkpoint's duration, whichever route made it, a strategy selected on a
+// stream request included. Each row first makes the served state durable
+// with an explicit checkpoint, then changes the model through one route, and
+// then the newest manifest generation must become byte-equal to the model's
+// export.
 func TestDurabilityContract(t *testing.T) {
 	const interval = 20 * time.Millisecond
 	other := otherBundle(t)
@@ -115,6 +116,17 @@ func TestDurabilityContract(t *testing.T) {
 		{name: "stream_fold", model: DefaultModel, change: func(t *testing.T, url string, windows [][][]float64) {
 			postStatus(t, url+"/v1/stream/adapt", "application/json", mustJSON(t, predictRequest{Windows: windows[:8]}), http.StatusAccepted)
 			waitStreamDrained(t, url, 8)
+		}},
+		{name: "stream_strategy", model: DefaultModel, change: func(t *testing.T, url string, windows [][][]float64) {
+			// Every fold fails, so only the strategy change itself can make
+			// the new bytes durable.
+			enableFault(t, "stream.fold.err", 1)
+			postStatus(t, url+"/v1/stream/adapt", "application/json",
+				mustJSON(t, predictRequest{Windows: windows[:8], Strategy: "entropy-cal+constant+ema"}), http.StatusAccepted)
+			waitStreamDrained(t, url, 0)
+			if raw := exportModel(t, url); string(raw[44:48]) != "SME2" {
+				t.Fatalf("the export holds a %q model, want the strategy's SME2", raw[44:48])
+			}
 		}},
 		{name: "sync_adapt", model: DefaultModel, change: func(t *testing.T, url string, windows [][][]float64) {
 			postStatus(t, url+"/v1/adapt", "application/json", mustJSON(t, predictRequest{Windows: windows[:4]}), http.StatusOK)

@@ -44,7 +44,7 @@ var secondsValue = regexp.MustCompile(`^\d+\.\d{9}$`)
 func TestMetricsExposition(t *testing.T) {
 	srv, ts, _, windows := testServerOpts(t, Options{
 		Workers: 2, MaxBatch: 64, StreamBatch: 8,
-		DriftPolicy: stream.SpawnOnDrift{}, MaxTargets: 4,
+		DriftPolicy: stream.DriftPolicy{Spawn: true}, MaxTargets: 4,
 	})
 	mustStatus := func(resp *http.Response, want int) {
 		t.Helper()

@@ -440,7 +440,7 @@ func (g *registry) infos() []modelInfo {
 			Dim:                cfg.Dim,
 			Classes:            cfg.Classes,
 			Sensors:            inst.encfg.Sensors,
-			Strategy:           inst.model.Strategy().String(),
+			Strategy:           snap.Strategy().String(),
 			Targets:            snap.Targets(),
 			Rollback:           inst.rollbacks.Load(),
 			Stream:             inst.stream.Stats(),

@@ -47,8 +47,8 @@ type Options struct {
 
 	// DriftPolicy decides when a model's streaming adapter spawns a fresh
 	// target domain on a similarity cliff (see stream.ParseDriftPolicy for
-	// the spec grammar). Nil means "none": the similarity EMA is still
-	// tracked for observability, but no targets are ever spawned.
+	// the spec grammar). The zero value is "none": the similarity EMA is
+	// still tracked for observability, but no targets are ever spawned.
 	DriftPolicy stream.DriftPolicy
 	// MaxTargets bounds the live target set under a retiring drift policy;
 	// <= 0 means stream.DefaultMaxTargets.
@@ -66,15 +66,15 @@ type Options struct {
 	// recovers the last good generation of every model found there.
 	StateDir string
 	// CheckpointInterval is the periodic checkpoint cadence for instances
-	// whose model changed (any fold, spawn, rollback, upload or swap) since
-	// their newest generation; <= 0 disables the ticker (checkpoints still
-	// happen on the change-count trigger, the checkpoint routes, and
-	// shutdown).
+	// whose model changed (any fold, strategy change, spawn, rollback,
+	// upload or swap) since their newest generation; <= 0 disables the
+	// ticker (checkpoints still happen on the change-count trigger, the
+	// checkpoint routes, and shutdown).
 	CheckpointInterval time.Duration
 	// CheckpointFolds checkpoints an instance once that many model changes
-	// (each stream fold is one, a drift spawn one more) have accumulated
-	// since its newest generation, checked after each stream fold; <= 0
-	// disables the trigger.
+	// (each stream fold is one, a drift spawn or strategy change one more)
+	// have accumulated since its newest generation, checked after each
+	// stream fold; <= 0 disables the trigger.
 	CheckpointFolds int
 
 	// RequestTimeout bounds each model-route request's handler work; past
@@ -538,12 +538,12 @@ func (s *Server) adapt(inst *instance, w *responseRecorder, r *http.Request) err
 	// feeds neither the stream breaker nor the drift trajectory. Like every
 	// change it publishes, which makes it durable on the next checkpoint.
 	done := s.met.stage("adapt")
-	stats, aerr := inst.model.AdaptIncrementalWith(strat, hvs, s.opt.Workers)
+	stats, snap, aerr := inst.model.AdaptIncrementalWith(strat, hvs, s.opt.Workers)
 	done()
 	if aerr != nil {
 		return adaptError(aerr)
 	}
-	adapted, used := inst.model.Adapted(), inst.model.Strategy().String()
+	adapted, used := snap.Adapted(), snap.Strategy().String()
 	return writeJSON(w, http.StatusOK, adaptResponse{Stats: stats, Adapted: adapted, Strategy: used})
 }
 
@@ -628,7 +628,8 @@ func (s *Server) streamAdapt(inst *instance, w *responseRecorder, r *http.Reques
 	// The background worker folds coalesced batches under the model's
 	// current strategy, so a request's strategy takes effect for its own
 	// windows and everything folded after them — until another request
-	// selects a different one.
+	// selects a different one. Installing it publishes a model change
+	// (durable on the next checkpoint) before the windows can be folded.
 	if strat != nil {
 		inst.model.SetStrategy(*strat)
 	}
@@ -775,7 +776,7 @@ func (s *Server) healthz(w *responseRecorder, r *http.Request) error {
 		"adapted":  snap.Adapted(),
 		"dim":      cfg.Dim,
 		"classes":  cfg.Classes,
-		"strategy": def.model.Strategy().String(),
+		"strategy": snap.Strategy().String(),
 		"models":   s.reg.size(),
 	})
 }

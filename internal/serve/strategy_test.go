@@ -154,7 +154,7 @@ func TestAdaptStrategySelection(t *testing.T) {
 	if got := decodeBody[adaptResponse](t, resp).Strategy; got != "entropy-cal+constant+ema" {
 		t.Fatalf("adapt strategy %q, want entropy-cal+constant+ema", got)
 	}
-	if got := art.Model.Strategy().String(); got != "entropy-cal+constant+ema" {
+	if got := art.Model.Snapshot().Strategy().String(); got != "entropy-cal+constant+ema" {
 		t.Fatalf("model strategy after adapt %q", got)
 	}
 
@@ -181,7 +181,7 @@ func TestStreamAdaptStrategySelection(t *testing.T) {
 	}
 	resp.Body.Close()
 	waitStreamDrained(t, ts.URL, 6)
-	if got := art.Model.Strategy().String(); got != "margin+constant+ema" {
+	if got := art.Model.Snapshot().Strategy().String(); got != "margin+constant+ema" {
 		t.Fatalf("model strategy after streamed fold %q, want margin+constant+ema", got)
 	}
 	if !art.Model.Adapted() {

@@ -34,7 +34,7 @@ type SpawnFunc func(maxTargets int, retire bool) (spawned, retired string, err e
 // weighs the newest batch by driftAlpha.
 const (
 	defaultDriftThreshold = 0.1
-	defaultDriftMinFolds  = 2
+	minFoldsBeforeSpawn   = 2
 	driftAlpha            = 0.3
 
 	// DefaultMaxTargets caps the live target set under spawn+retire when
@@ -43,66 +43,39 @@ const (
 )
 
 // DriftPolicy decides when the streaming adapter opens a fresh target
-// domain. Policies are registered by name like adaptation strategies:
-// "none" (default), "spawn", and "spawn+retire". ShouldSpawn sees the
-// similarity EMA tracked so far (always initialized), the incoming batch's
-// similarity, and how many folds the active target has received since it
-// became active. Implementations must be stateless: the adapter owns the
-// trajectory state and consults the policy under its own lock.
-type DriftPolicy interface {
-	Name() string
-	ShouldSpawn(ema, sim float64, folds int64) bool
-	// RetiresLRU reports whether spawns retire the least-recently-folded
-	// target once the live set exceeds MaxTargets.
-	RetiresLRU() bool
+// domain. The zero value is "none": it never spawns. With Spawn set, a batch
+// whose similarity to the active target drops more than Threshold (0 means
+// 0.1) below the tracked EMA opens a fresh target, once the active target
+// has absorbed minFoldsBeforeSpawn folds; with Retire set too, the spawn
+// retires the least-recently-folded target once the live set exceeds
+// MaxTargets. ParseDriftPolicy builds the registered policies by name.
+type DriftPolicy struct {
+	Spawn     bool
+	Retire    bool
+	Threshold float64
 }
 
-// NoDrift never spawns — the single-target streaming behavior.
-type NoDrift struct{}
-
-// Name implements DriftPolicy.
-func (NoDrift) Name() string { return "none" }
-
-// ShouldSpawn implements DriftPolicy.
-func (NoDrift) ShouldSpawn(float64, float64, int64) bool { return false }
-
-// RetiresLRU implements DriftPolicy.
-func (NoDrift) RetiresLRU() bool { return false }
-
-// SpawnOnDrift spawns a fresh target when a batch's similarity to the
-// active target drops more than Threshold below the tracked EMA, once the
-// active target has absorbed at least MinFolds folds.
-type SpawnOnDrift struct {
-	Threshold float64 // similarity drop below the EMA that is a shift; 0 means 0.1
-	MinFolds  int64   // folds the active target gets before spawns; 0 means 2
+// Name returns the policy's registered name.
+func (p DriftPolicy) Name() string {
+	switch {
+	case !p.Spawn:
+		return "none"
+	case p.Retire:
+		return "spawn+retire"
+	}
+	return "spawn"
 }
 
-// Name implements DriftPolicy.
-func (SpawnOnDrift) Name() string { return "spawn" }
-
-// ShouldSpawn implements DriftPolicy.
-func (p SpawnOnDrift) ShouldSpawn(ema, sim float64, folds int64) bool {
-	thr, minFolds := p.Threshold, p.MinFolds
+// shouldSpawn sees the similarity EMA tracked so far (always initialized),
+// the incoming batch's similarity, and how many folds the active target has
+// received since it became active.
+func (p DriftPolicy) shouldSpawn(ema, sim float64, folds int64) bool {
+	thr := p.Threshold
 	if thr == 0 {
 		thr = defaultDriftThreshold
 	}
-	if minFolds == 0 {
-		minFolds = defaultDriftMinFolds
-	}
-	return folds >= minFolds && sim < ema-thr
+	return p.Spawn && folds >= minFoldsBeforeSpawn && sim < ema-thr
 }
-
-// RetiresLRU implements DriftPolicy.
-func (SpawnOnDrift) RetiresLRU() bool { return false }
-
-// SpawnRetireOnDrift is SpawnOnDrift plus LRU retirement past MaxTargets.
-type SpawnRetireOnDrift struct{ SpawnOnDrift }
-
-// Name implements DriftPolicy.
-func (SpawnRetireOnDrift) Name() string { return "spawn+retire" }
-
-// RetiresLRU implements DriftPolicy.
-func (SpawnRetireOnDrift) RetiresLRU() bool { return true }
 
 // DriftPolicyNames lists the registered drift policies.
 func DriftPolicyNames() []string { return []string{"none", "spawn", "spawn+retire"} }
@@ -119,22 +92,22 @@ func ParseDriftPolicy(spec string) (DriftPolicy, error) {
 	if hasArg {
 		v, err := strconv.ParseFloat(arg, 64)
 		if err != nil || !(v > 0 && v <= 1) {
-			return nil, fmt.Errorf("%w: threshold %q must be a float in (0,1]", ErrUnknownDriftPolicy, arg)
+			return DriftPolicy{}, fmt.Errorf("%w: threshold %q must be a float in (0,1]", ErrUnknownDriftPolicy, arg)
 		}
 		thr = v
 	}
 	switch name {
 	case "", "none":
 		if hasArg {
-			return nil, fmt.Errorf("%w: policy none takes no threshold", ErrUnknownDriftPolicy)
+			return DriftPolicy{}, fmt.Errorf("%w: policy none takes no threshold", ErrUnknownDriftPolicy)
 		}
-		return NoDrift{}, nil
+		return DriftPolicy{}, nil
 	case "spawn":
-		return SpawnOnDrift{Threshold: thr}, nil
+		return DriftPolicy{Spawn: true, Threshold: thr}, nil
 	case "spawn+retire":
-		return SpawnRetireOnDrift{SpawnOnDrift{Threshold: thr}}, nil
+		return DriftPolicy{Spawn: true, Retire: true, Threshold: thr}, nil
 	}
-	return nil, fmt.Errorf("%w: %q (have: %s)", ErrUnknownDriftPolicy, name, strings.Join(DriftPolicyNames(), ", "))
+	return DriftPolicy{}, fmt.Errorf("%w: %q (have: %s)", ErrUnknownDriftPolicy, name, strings.Join(DriftPolicyNames(), ", "))
 }
 
 // driftState is the adapter's similarity-trajectory tracking, guarded by
@@ -150,7 +123,7 @@ type driftState struct {
 // decision the trajectory resets: the EMA belonged to the target being left
 // behind, and the new target starts measuring from its next batch.
 func (d *driftState) observe(p DriftPolicy, sim float64) (spawn bool) {
-	if d.emaInit && p.ShouldSpawn(d.ema, sim, d.folds) {
+	if d.emaInit && p.shouldSpawn(d.ema, sim, d.folds) {
 		d.ema, d.emaInit, d.folds = 0, false, 0
 		return true
 	}

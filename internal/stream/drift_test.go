@@ -41,24 +41,24 @@ func TestParseDriftPolicy(t *testing.T) {
 			t.Errorf("spec %q: %v", tt.spec, err)
 			continue
 		}
-		if p.Name() != tt.name || p.RetiresLRU() != tt.retire {
+		if p.Name() != tt.name || p.Retire != tt.retire {
 			t.Errorf("spec %q parsed to (%s, retire=%v), want (%s, retire=%v)",
-				tt.spec, p.Name(), p.RetiresLRU(), tt.name, tt.retire)
+				tt.spec, p.Name(), p.Retire, tt.name, tt.retire)
 		}
 	}
 	// A custom threshold must change the decision.
 	loose, _ := ParseDriftPolicy("spawn:0.5")
 	tight, _ := ParseDriftPolicy("spawn:0.01")
-	if loose.ShouldSpawn(0.8, 0.7, 10) {
+	if loose.shouldSpawn(0.8, 0.7, 10) {
 		t.Error("spawn:0.5 fired on a 0.1 similarity drop")
 	}
-	if !tight.ShouldSpawn(0.8, 0.7, 10) {
+	if !tight.shouldSpawn(0.8, 0.7, 10) {
 		t.Error("spawn:0.01 did not fire on a 0.1 similarity drop")
 	}
 }
 
 func TestDriftStateObserve(t *testing.T) {
-	p := SpawnOnDrift{} // defaults: threshold 0.1, min folds 2
+	p := DriftPolicy{Spawn: true} // defaults: threshold 0.1, min folds 2
 	var d driftState
 	if d.observe(p, 0.6) {
 		t.Fatal("first observation spawned with an uninitialized EMA")
@@ -66,9 +66,9 @@ func TestDriftStateObserve(t *testing.T) {
 	if !d.emaInit || d.ema != 0.6 {
 		t.Fatalf("EMA after first observation = (%v, %v), want initialized to 0.6", d.ema, d.emaInit)
 	}
-	d.folds = 1 // below MinFolds: even a cliff must not spawn yet
+	d.folds = 1 // below minFoldsBeforeSpawn: even a cliff must not spawn yet
 	if d.observe(p, 0.1) {
-		t.Fatal("spawned before MinFolds folds")
+		t.Fatal("spawned before minFoldsBeforeSpawn folds")
 	}
 	d = driftState{ema: 0.6, emaInit: true, folds: 5}
 	if d.observe(p, 0.55) {
@@ -141,7 +141,7 @@ func TestWorkerSpawnsOnDrift(t *testing.T) {
 		sims: []float64{0.6, 0.6, 0.6, 0.2, 0.55, 0.55},
 	}
 	a := New(Config{
-		MaxBatch: 1, Policy: SpawnOnDrift{}, MaxTargets: 3,
+		MaxBatch: 1, Policy: DriftPolicy{Spawn: true}, MaxTargets: 3,
 		Sim: dm.sim, Spawn: dm.spawn,
 	}, passthroughEncode, dm.fold)
 	for i := range 7 {
@@ -189,7 +189,7 @@ func TestWorkerRetiresPastMaxTargets(t *testing.T) {
 		sims: []float64{0.6, 0.6, 0.6, 0.2, 0.6, 0.6, 0.6, 0.2, 0.55},
 	}
 	a := New(Config{
-		MaxBatch: 1, Policy: SpawnRetireOnDrift{}, MaxTargets: 2,
+		MaxBatch: 1, Policy: DriftPolicy{Spawn: true, Retire: true}, MaxTargets: 2,
 		Sim: dm.sim, Spawn: dm.spawn,
 	}, passthroughEncode, dm.fold)
 	for i := range 10 {
@@ -249,7 +249,7 @@ func TestNonePolicyTracksButNeverSpawns(t *testing.T) {
 func TestResetDriftClearsTrajectoryKeepsHistory(t *testing.T) {
 	dm := &driftModel{sims: []float64{0.6, 0.6, 0.6, 0.2, 0.55}}
 	a := New(Config{
-		MaxBatch: 1, Policy: SpawnOnDrift{}, Sim: dm.sim, Spawn: dm.spawn,
+		MaxBatch: 1, Policy: DriftPolicy{Spawn: true}, Sim: dm.sim, Spawn: dm.spawn,
 	}, passthroughEncode, dm.fold)
 	for i := range 6 {
 		if _, err := a.Enqueue([][][]float64{fakeWindow(i + 1)}); err != nil {

@@ -46,8 +46,8 @@ type Config struct {
 	QueueCap int // maximum windows held in the queue; <= 0 means 4096
 	MaxBatch int // maximum windows folded per AdaptIncremental call; <= 0 means 256
 
-	// Policy decides when the worker opens a fresh target domain (nil
-	// means NoDrift). A spawning policy needs Sim to measure batches and
+	// Policy decides when the worker opens a fresh target domain (the zero
+	// value never does). A spawning policy needs Sim to measure batches and
 	// Spawn to open targets; with either missing the policy is inert.
 	Policy DriftPolicy
 	// MaxTargets bounds the live target set under a retiring policy;
@@ -66,9 +66,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	if c.Policy == nil {
-		c.Policy = NoDrift{}
 	}
 	if c.MaxTargets <= 0 {
 		c.MaxTargets = DefaultMaxTargets
@@ -299,7 +296,7 @@ func (a *Adapter) maybeDrift(hvs []hdc.Vector) {
 	}
 	pol := a.cfg.Policy
 	if a.cfg.Spawn == nil {
-		pol = NoDrift{} // tracking-only: keep the EMA gauge, never spawn
+		pol = DriftPolicy{} // tracking-only: keep the EMA gauge, never spawn
 	}
 	a.mu.Lock()
 	spawn := a.drift.observe(pol, sim)
@@ -307,7 +304,7 @@ func (a *Adapter) maybeDrift(hvs []hdc.Vector) {
 	if !spawn {
 		return
 	}
-	_, retired, spawnErr := a.cfg.Spawn(a.cfg.MaxTargets, pol.RetiresLRU())
+	_, retired, spawnErr := a.cfg.Spawn(a.cfg.MaxTargets, pol.Retire)
 	a.mu.Lock()
 	if spawnErr != nil {
 		a.stats.LastError = spawnErr.Error()

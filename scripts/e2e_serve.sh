@@ -61,6 +61,11 @@ grep -q '^usage: smore <command>' "$tmp/flat.err" || fail "smore with top-level 
 code=0
 "$tmp/smore" ablate -seed 1 >/dev/null 2>&1 || code=$?
 [ "$code" = "2" ] || fail "smore ablate -seed exited $code, want 2"
+# smore-serve takes no -strategy: a bundle carries its strategy, and a
+# request's strategy is a published, checkpointed model change.
+code=0
+"$tmp/smore-serve" -strategy margin+constant+ema >/dev/null 2>&1 || code=$?
+[ "$code" = "2" ] || fail "smore-serve -strategy exited $code, want 2"
 
 # Adaptation at scale: at 2,000 windows per class every class batch of the
 # pseudo-label update holds about 1,000 rows, so it runs the accumulator's
