@@ -63,14 +63,16 @@ lint:
 	./bin/staticcheck ./...
 	./bin/govulncheck ./...
 
-# vet-smore runs the repo's own analyzer suite (cmd/smorevet) as a vet
-# tool: lockdiscipline, hotpath, errenvelope, and atomicsnap mechanically
-# enforce the concurrency, hot-path, and error-envelope invariants the
-# package docs promise. See cmd/smorevet for the diagnostics and the
+# vet-smore runs the repo's own analyzer suite (internal/lint):
+# lockdiscipline, hotpath, errenvelope, and atomicsnap mechanically enforce
+# the concurrency, hot-path, and error-envelope invariants the package docs
+# promise. TestRepoSatisfiesInvariants scans every package of ./... with one
+# subtest per analyzer (narrow a run with
+# `go test -run 'TestRepoSatisfiesInvariants/hotpath' ./internal/lint`); the
+# rest are the analyzers' fixture tests. See internal/lint/lintutil for the
 # //smorevet:allow suppression syntax.
 vet-smore:
-	$(GO) build -o bin/smorevet ./cmd/smorevet
-	$(GO) vet -vettool=$(CURDIR)/bin/smorevet ./...
+	$(GO) test -count=1 ./internal/lint/...
 
 fuzz:
 	$(GO) test $(FUZZPKG) -run '^$$' -fuzz '$(FUZZ)$$' -fuzztime $(FUZZTIME)

@@ -192,9 +192,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("smore-serve: %v", err)
 	}
-	mcfg := b.Model.Config()
-	log.Printf("smore-serve: serving %s on %s (dim=%d classes=%d sensors=%d drift-policy=%s stream-queue=%d stream-batch=%d max-models=%d)",
-		*load, *addr, mcfg.Dim, mcfg.Classes, b.Encoder.Sensors, policy.Name(), *streamQueue, *streamBatch, *maxModels)
+	log.Printf("smore-serve: serving on %s (load=%s drift-policy=%s stream-queue=%d stream-batch=%d max-models=%d)",
+		*addr, *load, policy.Name(), *streamQueue, *streamBatch, *maxModels)
 	if *pprofAddr != "" {
 		startPprof(pprofListenAddr(*pprofAddr))
 	}

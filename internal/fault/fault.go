@@ -26,7 +26,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -55,13 +54,6 @@ var Points = map[string]string{
 type Error struct{ Point string }
 
 func (e *Error) Error() string { return "fault: injected failure at " + e.Point }
-
-// IsInjected reports whether err (or anything it wraps) was injected by this
-// package, so tests and loadgen can tell deliberate chaos from real faults.
-func IsInjected(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
-}
 
 // point is one armed injection site. The mutex serializes the draw stream so
 // concurrent callers consume deterministic positions of it.
@@ -131,9 +123,6 @@ var (
 	armed atomic.Bool
 	reg   atomic.Pointer[registry]
 )
-
-// Enabled reports whether any fault point is armed.
-func Enabled() bool { return armed.Load() }
 
 // Spec returns the normalized spec of the armed points, "" when disabled.
 func Spec() string {

@@ -18,8 +18,8 @@ func arm(t *testing.T, spec string, seed uint64) {
 
 func TestDisabledIsInert(t *testing.T) {
 	Disable()
-	if Enabled() {
-		t.Fatal("Enabled after Disable")
+	if Spec() != "" {
+		t.Fatal("armed after Disable")
 	}
 	if err := Maybe("persist.write"); err != nil {
 		t.Fatalf("disabled Maybe returned %v", err)
@@ -38,8 +38,8 @@ func TestUnarmedPointIsInert(t *testing.T) {
 	}
 	if err := Maybe("persist.sync"); err == nil {
 		t.Fatal("armed point did not fire")
-	} else if !IsInjected(err) {
-		t.Fatalf("IsInjected(%v) = false", err)
+	} else if !errors.As(err, new(*Error)) {
+		t.Fatalf("armed point returned %v, want an injected *Error", err)
 	}
 }
 
@@ -60,7 +60,7 @@ func TestSpecValidation(t *testing.T) {
 	if err := Enable("", 1); err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
-	if Enabled() {
+	if Spec() != "" {
 		t.Fatal("empty spec left injection armed")
 	}
 }

@@ -17,8 +17,8 @@ import (
 // Analyzer describes one static check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, suppression comments
-	// (//smorevet:allow <name>), and the driver's -<name> selection flags.
-	// It must be a valid Go identifier.
+	// (//smorevet:allow <name>), and the repo driver's per-analyzer subtests
+	// (go test -run 'TestRepoSatisfiesInvariants/<name>' ./internal/lint).
 	Name string
 
 	// Doc is the analyzer's documentation: first line summary, then detail.
@@ -55,9 +55,9 @@ type Diagnostic struct {
 }
 
 // NewInfo allocates a types.Info with every map the analyzers consult.
-// All drivers (vettool, analysistest, self-test loader) must use it so an
-// analyzer never finds a nil map in one driver that was populated in
-// another.
+// Both drivers (the repo scan through load, and analysistest) must use it
+// so an analyzer never finds a nil map in one driver that was populated in
+// the other.
 func NewInfo() *types.Info {
 	return &types.Info{
 		Types:        make(map[ast.Expr]types.TypeAndValue),
@@ -69,24 +69,4 @@ func NewInfo() *types.Info {
 		Selections:   make(map[*ast.SelectorExpr]*types.Selection),
 		FileVersions: make(map[*ast.File]string),
 	}
-}
-
-// Validate rejects analyzer sets the driver cannot run: missing names,
-// duplicate names, or a nil Run.
-func Validate(analyzers []*Analyzer) error {
-	seen := map[string]bool{}
-	for _, a := range analyzers {
-		switch {
-		case a == nil:
-			return fmt.Errorf("nil *Analyzer")
-		case a.Name == "":
-			return fmt.Errorf("analyzer has no name")
-		case a.Run == nil:
-			return fmt.Errorf("analyzer %q has no Run", a.Name)
-		case seen[a.Name]:
-			return fmt.Errorf("duplicate analyzer name %q", a.Name)
-		}
-		seen[a.Name] = true
-	}
-	return nil
 }

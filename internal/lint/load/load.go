@@ -2,9 +2,9 @@
 // golang.org/x/tools: it shells out to `go list -export -deps -json`, which
 // compiles every dependency into the build cache and reports the gc
 // export-data file for each, then parses the target packages and checks
-// them with an importer that reads those export files. This is the same
-// modular-analysis shape `go vet` drives through the vettool protocol; here
-// it powers the in-process test drivers (self_test, analysistest).
+// them with an importer that reads those export files. It backs both
+// analyzer drivers: the repo scan in internal/lint (which `make vet-smore`
+// runs) and analysistest's fixture harness.
 package load
 
 import (

@@ -592,12 +592,6 @@ func (m *Ensemble) adapt(targets []hdc.Vector, workers int, incremental bool, s 
 	return stats, m.snap.Load(), nil
 }
 
-// Adapted reports whether adaptation has produced a target model.
-func (m *Ensemble) Adapted() bool {
-	s := m.snap.Load()
-	return s != nil && s.Adapted()
-}
-
 // rank maps a score to a total order for argmax/top2: NaN ranks with -Inf,
 // below every real score, so a poisoned entry can never beat one and the
 // selected indices do not depend on where the NaN sits in the slice (ties

@@ -211,7 +211,7 @@ func TestAdaptMechanics(t *testing.T) {
 	if err := m.Train(samples); err != nil {
 		t.Fatal(err)
 	}
-	if m.Adapted() {
+	if m.Snapshot().Adapted() {
 		t.Fatal("Adapted() true before Adapt")
 	}
 	if _, err := m.AdaptBatch(nil, 0); err == nil {
@@ -227,7 +227,7 @@ func TestAdaptMechanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Adapted() {
+	if !m.Snapshot().Adapted() {
 		t.Fatal("Adapted() false after Adapt")
 	}
 	if stats.PseudoLabels == 0 {

@@ -82,8 +82,8 @@ func TestEnsembleRoundTrip(t *testing.T) {
 			if got.Config() != m.Config() {
 				t.Fatalf("loaded config %+v, want %+v", got.Config(), m.Config())
 			}
-			if got.Adapted() != adapt {
-				t.Fatalf("loaded Adapted() = %v, want %v", got.Adapted(), adapt)
+			if got.Snapshot().Adapted() != adapt {
+				t.Fatalf("loaded Adapted() = %v, want %v", got.Snapshot().Adapted(), adapt)
 			}
 			for i, q := range queries {
 				if a, b := m.Snapshot().Predict(q), got.Snapshot().Predict(q); a != b {

@@ -123,9 +123,6 @@ func (s *Snapshot) Config() Config { return s.cfg }
 // model.
 func (s *Snapshot) Adapted() bool { return len(s.targets) > 0 }
 
-// NumTargets returns the number of initialized adapted target domains.
-func (s *Snapshot) NumTargets() int { return len(s.targets) }
-
 // Version counts the ensemble's publishes up to and including this
 // snapshot: every published change moves it by one.
 func (s *Snapshot) Version() uint64 { return s.version }

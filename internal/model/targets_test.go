@@ -63,6 +63,17 @@ func scoresOf(t *testing.T, m *Ensemble, q hdc.Vector) []float64 {
 	return out
 }
 
+// readyTargets counts the targets s votes with; a pending spawn is not one.
+func readyTargets(s *Snapshot) int {
+	n := 0
+	for _, ti := range s.Targets() {
+		if ti.Ready {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSpawnFoldVote walks the core multi-target lifecycle: the implicit
 // first target is t0, a spawned target stays pending (excluded from voting)
 // until its first fold, and after that fold both targets are ready and the
@@ -86,8 +97,8 @@ func TestSpawnFoldVote(t *testing.T) {
 		t.Fatalf("SpawnTarget = (%q, %q), want (t1, none)", spawned, retired)
 	}
 	// A pending spawn must not change what the model serves.
-	if s := m.Snapshot(); s.NumTargets() != 1 {
-		t.Fatalf("pending spawn published %d targets, want 1", s.NumTargets())
+	if n := readyTargets(m.Snapshot()); n != 1 {
+		t.Fatalf("pending spawn published %d ready targets, want 1", n)
 	}
 	if got := scoresOf(t, m, queries[0]); !floatsEqual(got, pre) {
 		t.Fatalf("pending spawn changed served scores: %v -> %v", pre, got)
@@ -96,8 +107,8 @@ func TestSpawnFoldVote(t *testing.T) {
 	if _, err := m.AdaptIncremental(phaseB[0], 2); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Snapshot(); s.NumTargets() != 2 {
-		t.Fatalf("after fold into spawned target snapshot has %d targets, want 2", s.NumTargets())
+	if n := readyTargets(m.Snapshot()); n != 2 {
+		t.Fatalf("after fold into spawned target snapshot has %d ready targets, want 2", n)
 	}
 	infos = m.Snapshot().Targets()
 	if len(infos) != 2 || infos[0].Name != "t0" || infos[1].Name != "t1" ||

@@ -2,8 +2,8 @@ package pipeline
 
 import (
 	"bytes"
-	"context"
 	"fmt"
+	"slices"
 
 	"go-arxiv/smore/internal/data"
 	"go-arxiv/smore/internal/hdc"
@@ -113,6 +113,12 @@ func (a *Artifacts) StreamEvaluateDrift(batchSize int, dcfg DriftConfig) (*Drift
 	if batchSize <= 0 {
 		return nil, fmt.Errorf("pipeline: stream batch size %d < 1", batchSize)
 	}
+	// Both phases are enqueued as one stream before the worker starts, so
+	// the fold at which the shift arrives is fixed; a phase A that is a
+	// multiple of batchSize keeps the two phases out of a shared fold.
+	if n := len(a.TargetWindows); n%batchSize != 0 {
+		return nil, fmt.Errorf("pipeline: phase A window count %d is not a multiple of batch size %d (the phase boundary would share a fold)", n, batchSize)
+	}
 	if dcfg.Shift == (data.Shift{}) {
 		dcfg.Shift = DefaultDriftShift()
 	}
@@ -154,83 +160,44 @@ func (a *Artifacts) StreamEvaluateDrift(batchSize int, dcfg DriftConfig) (*Drift
 		DriftPolicy: dcfg.Policy.Name(),
 	}
 
-	// The fold callback runs on the adapter's single worker goroutine and
-	// Close joins it, so the fold counter, the trajectories, and the
-	// phase-boundary freeze need no locking.
 	folds := 0
 	var frozen *model.Ensemble
-	ad := stream.New(
-		stream.Config{
-			QueueCap: len(aWindows) + len(bWindows), MaxBatch: batchSize,
-			Policy: dcfg.Policy, MaxTargets: dcfg.MaxTargets,
-			// The replay owns the model exclusively, so the closures need no
-			// locking beyond what the Ensemble does itself.
-			Sim: a.Model.BatchSimilarity,
-			Spawn: func(maxTargets int, retire bool) (string, string, error) {
-				return a.Model.SpawnTarget("", maxTargets, retire)
-			},
+	st, err := a.replay(stream.Config{
+		MaxBatch: batchSize,
+		Policy:   dcfg.Policy, MaxTargets: dcfg.MaxTargets,
+		// The replay owns the model exclusively, so the closures need no
+		// locking beyond what the Ensemble does itself.
+		Sim: a.Model.BatchSimilarity,
+		Spawn: func(maxTargets int, retire bool) (string, string, error) {
+			return a.Model.SpawnTarget("", maxTargets, retire)
 		},
-		func(ws [][][]float64) ([]hdc.Vector, error) {
-			return a.Encoder.EncodeBatch(ws, workers)
-		},
-		func(hvs []hdc.Vector) (model.AdaptStats, error) {
-			stats, err := a.Model.AdaptIncremental(hvs, workers)
-			if err != nil {
-				return stats, err
-			}
-			predict := a.Model.Snapshot().PredictBatch
-			if folds < phaseABatches {
-				res.PhaseA.Trajectory = append(res.PhaseA.Trajectory, evalBatch(aHVs, aClasses, predict, workers))
-			} else {
-				res.TrajectoryB = append(res.TrajectoryB, evalBatch(bHVs, bClasses, predict, workers))
-				res.TrajectoryA = append(res.TrajectoryA, evalBatch(aHVs, aClasses, predict, workers))
-			}
-			folds++
-			// Freeze the post-phase-A model through its own codec right
-			// after the last phase-A fold — before the drift check of the
-			// first phase-B batch can spawn — so the frozen ensemble is the
-			// exact single-target state the policy arm is compared against.
-			if folds == phaseABatches {
-				var buf bytes.Buffer
-				if _, err := a.Model.WriteTo(&buf); err != nil {
-					return stats, fmt.Errorf("freezing phase-A model: %w", err)
-				}
-				frozen, err = model.Decode(&buf)
-				if err != nil {
-					return stats, fmt.Errorf("freezing phase-A model: %w", err)
-				}
-			}
-			return stats, nil
-		},
-	)
-	// Both phases are enqueued before the worker starts, so the batch
-	// boundaries — and the fold at which the shift arrives — are fully
-	// deterministic. Windows from the two phases never share a micro-batch:
-	// phase A's window count is a multiple-or-remainder split that ends at
-	// the queue boundary, and the worker folds at most batchSize at a time
-	// starting from position 0, so phase B starts a fresh batch only when
-	// phase A's count is a multiple of batchSize.
-	if len(aWindows)%batchSize != 0 {
-		return nil, fmt.Errorf("pipeline: phase A window count %d is not a multiple of batch size %d (the phase boundary would share a fold)", len(aWindows), batchSize)
-	}
-	if _, err := ad.Enqueue(aWindows); err != nil {
-		return nil, fmt.Errorf("pipeline: enqueueing phase A: %w", err)
-	}
-	if _, err := ad.Enqueue(bWindows); err != nil {
-		return nil, fmt.Errorf("pipeline: enqueueing phase B: %w", err)
-	}
-	ad.Start()
-	if err := ad.Close(context.Background()); err != nil {
-		return nil, err
-	}
-	st := ad.Stats()
-	if st.EncodeErrors > 0 || st.FoldErrors > 0 {
-		msg := st.LastError
-		if msg == "" {
-			msg = fmt.Sprintf("%d encode / %d fold errors (%d windows lost)",
-				st.EncodeErrors, st.FoldErrors, st.WindowsLost)
+	}, slices.Concat(aWindows, bWindows), func() error {
+		predict := a.Model.Snapshot().PredictBatch
+		if folds < phaseABatches {
+			res.PhaseA.Trajectory = append(res.PhaseA.Trajectory, evalBatch(aHVs, aClasses, predict, workers))
+		} else {
+			res.TrajectoryB = append(res.TrajectoryB, evalBatch(bHVs, bClasses, predict, workers))
+			res.TrajectoryA = append(res.TrajectoryA, evalBatch(aHVs, aClasses, predict, workers))
 		}
-		return nil, fmt.Errorf("pipeline: drift replay failed: %s", msg)
+		folds++
+		// Freeze the post-phase-A model through its own codec right
+		// after the last phase-A fold — before the drift check of the
+		// first phase-B batch can spawn — so the frozen ensemble is the
+		// exact single-target state the policy arm is compared against.
+		if folds == phaseABatches {
+			var buf bytes.Buffer
+			_, err := a.Model.WriteTo(&buf)
+			if err == nil {
+				frozen, err = model.Decode(&buf)
+			}
+			if err != nil {
+				return fmt.Errorf("freezing phase-A model: %w", err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(res.PhaseA.Trajectory) == 0 || len(res.TrajectoryB) == 0 || frozen == nil {
 		return nil, fmt.Errorf("pipeline: drift replay folded %d/%d phase batches", len(res.PhaseA.Trajectory), len(res.TrajectoryB))

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,7 +120,7 @@ func TestStreamEvaluateMatchesOneShot(t *testing.T) {
 	if streamed.Adapt.PseudoLabels == 0 {
 		t.Error("streamed adaptation applied no pseudo-labels")
 	}
-	if !str.Model.Adapted() {
+	if !str.Model.Snapshot().Adapted() {
 		t.Error("model not adapted after StreamEvaluate")
 	}
 }
@@ -222,7 +223,7 @@ func TestTrainEvaluateMatchesRun(t *testing.T) {
 	if *got != *want {
 		t.Fatalf("Train+Evaluate result %+v differs from Run %+v", got, want)
 	}
-	if !art.Model.Adapted() {
+	if !art.Model.Snapshot().Adapted() {
 		t.Fatal("Evaluate left the artifacts' model unadapted")
 	}
 }
@@ -253,7 +254,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if b.Encoder != art.Encoder.Config() {
 		t.Fatalf("loaded encoder config %+v, want %+v", b.Encoder, art.Encoder.Config())
 	}
-	if !b.Model.Adapted() {
+	if !b.Model.Snapshot().Adapted() {
 		t.Fatal("loaded model lost its adapted target model")
 	}
 	var buf2 bytes.Buffer
@@ -352,7 +353,7 @@ func TestBundleFileRoundTrip(t *testing.T) {
 	}
 	err = art.Bundle().SaveFile(path)
 	fault.Disable()
-	if !fault.IsInjected(err) {
+	if !errors.As(err, new(*fault.Error)) {
 		t.Fatalf("SaveFile with a failing fsync: err = %v, want the injected failure", err)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {

@@ -41,17 +41,36 @@ func (a *Artifacts) StreamEvaluate(batchSize int) (*StreamResult, error) {
 	if len(tgtHVs) == 0 {
 		return nil, fmt.Errorf("pipeline: no target samples to stream")
 	}
-	windows := a.TargetWindows
 	workers := a.Config.Workers
 	res := &StreamResult{
 		BatchSize:      batchSize,
 		TargetBaseline: evalBatch(tgtHVs, tgtClasses, a.Model.Snapshot().PredictSourceBatch, workers),
 	}
-	// The fold callback runs on the adapter's worker goroutine; Close joins
-	// that goroutine before the trajectory is read, so no extra locking is
-	// needed here.
-	ad := stream.New(
-		stream.Config{QueueCap: len(windows), MaxBatch: batchSize},
+	st, err := a.replay(stream.Config{MaxBatch: batchSize}, a.TargetWindows, func() error {
+		res.Trajectory = append(res.Trajectory, evalBatch(tgtHVs, tgtClasses, a.Model.Snapshot().PredictBatch, workers))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Batches = int(st.BatchesFolded)
+	res.Adapt = st.Adapt
+	res.TargetAdapted = res.Trajectory[len(res.Trajectory)-1]
+	return res, nil
+}
+
+// replay streams windows through a stream.Adapter built from cfg, with a
+// queue that holds them all: each micro-batch is encoded with EncodeBatch
+// and folded into a.Model with AdaptIncremental, and afterFold runs after
+// every successful fold; its error fails that fold. The whole stream is
+// enqueued before the worker starts, so the batch boundaries are fixed by
+// cfg.MaxBatch alone. afterFold runs on the adapter's worker goroutine,
+// which Close joins before replay returns, so the state it writes needs no
+// locking. Any encode or fold failure fails the replay.
+func (a *Artifacts) replay(cfg stream.Config, windows [][][]float64, afterFold func() error) (stream.Stats, error) {
+	workers := a.Config.Workers
+	cfg.QueueCap = len(windows)
+	ad := stream.New(cfg,
 		func(ws [][][]float64) ([]hdc.Vector, error) {
 			return a.Encoder.EncodeBatch(ws, workers)
 		},
@@ -60,16 +79,15 @@ func (a *Artifacts) StreamEvaluate(batchSize int) (*StreamResult, error) {
 			if err != nil {
 				return stats, err
 			}
-			res.Trajectory = append(res.Trajectory, evalBatch(tgtHVs, tgtClasses, a.Model.Snapshot().PredictBatch, workers))
-			return stats, nil
+			return stats, afterFold()
 		},
 	)
 	if _, err := ad.Enqueue(windows); err != nil {
-		return nil, fmt.Errorf("pipeline: enqueueing target stream: %w", err)
+		return stream.Stats{}, fmt.Errorf("pipeline: enqueueing stream: %w", err)
 	}
 	ad.Start()
 	if err := ad.Close(context.Background()); err != nil {
-		return nil, err
+		return stream.Stats{}, err
 	}
 	st := ad.Stats()
 	if st.EncodeErrors > 0 || st.FoldErrors > 0 {
@@ -80,10 +98,7 @@ func (a *Artifacts) StreamEvaluate(batchSize int) (*StreamResult, error) {
 			msg = fmt.Sprintf("%d encode / %d fold errors (%d windows lost)",
 				st.EncodeErrors, st.FoldErrors, st.WindowsLost)
 		}
-		return nil, fmt.Errorf("pipeline: stream replay failed: %s", msg)
+		return stream.Stats{}, fmt.Errorf("pipeline: stream replay failed: %s", msg)
 	}
-	res.Batches = int(st.BatchesFolded)
-	res.Adapt = st.Adapt
-	res.TargetAdapted = res.Trajectory[len(res.Trajectory)-1]
-	return res, nil
+	return st, nil
 }

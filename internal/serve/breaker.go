@@ -28,9 +28,9 @@ func (s breakerState) String() string {
 }
 
 // breaker is a per-instance circuit breaker over streaming fold outcomes. A
-// poisoned stream (encoder faults, a fold that always fails) would otherwise
-// burn the queue: every accepted batch is paid for — encoded, locked, folded
-// — only to be discarded and counted as lost. After threshold consecutive
+// poisoned stream (a fold that always fails) would otherwise burn the
+// queue: every accepted batch is paid for — encoded, locked, folded — only
+// to be discarded and counted as lost. After threshold consecutive
 // fold failures the circuit opens and stream/adapt answers 503 adapter_open
 // (with a Retry-After hint) until the cooldown elapses; then one probe batch
 // is admitted, and its fold outcome closes or re-opens the circuit.

@@ -32,10 +32,10 @@ const (
 )
 
 // ErrorCodes is the complete registry of envelope error codes. The
-// errenvelope analyzer (cmd/smorevet) loads this table via go/types and
-// rejects any httpError carrying — or any codeXxx const defining — a code
-// that is not listed here, so adding a code means adding it in both places
-// or the lint suite fails. Exported for API clients and tests that want to
+// errenvelope analyzer (internal/lint/errenvelope) loads this table via
+// go/types and rejects any httpError carrying — or any codeXxx const
+// defining — a code that is not listed here, so adding a code means adding
+// it in both places or the lint suite fails. Exported for API clients and tests that want to
 // validate against the full set.
 var ErrorCodes = []string{
 	codeInvalidJSON,

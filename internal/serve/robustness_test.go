@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -118,6 +120,50 @@ func httptest2(t *testing.T, srv *Server) *httptest.Server {
 		}
 	})
 	return ts
+}
+
+// TestStartupLogNamesServedDefault boots a dim-512 bundle on a state dir
+// whose default is a dim-1024 model: the startup line must describe the
+// recovered model New serves, not the bundle it was handed.
+func TestStartupLogNamesServedDefault(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var lines []string
+	opts := Options{Workers: 2, StateDir: dir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}}
+	requireLine := func(want string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if !slices.Contains(lines, want) {
+			t.Fatalf("startup log %q lacks %q", lines, want)
+		}
+	}
+
+	alt, _ := altArtifacts(t, 11)
+	srv, err := New(alt.Bundle(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Close(ctx); err != nil { // writes generation 1
+		t.Fatal(err)
+	}
+	requireLine(`serve: model "default" from the boot bundle (dim=1024 classes=3 sensors=3)`)
+
+	art, _ := testArtifacts(t)
+	srv2, err := New(art.Bundle(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv2.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	requireLine(`serve: model "default" from state dir generation 1 (dim=1024 classes=3 sensors=3)`)
 }
 
 func TestCheckpointTornWriteFallsBackToPreviousGeneration(t *testing.T) {

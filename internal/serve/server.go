@@ -158,9 +158,10 @@ func New(b *pipeline.Bundle, opt Options) (*Server, error) {
 		s.reg.store = store
 		recovered = store.recoverAll()
 	}
+	from := "the boot bundle"
 	for _, rec := range recovered {
 		if rec.name == DefaultModel {
-			s.reg.logf("serve: model %q recovered from state dir (generation %d)", rec.name, rec.gen)
+			from = fmt.Sprintf("state dir generation %d", rec.gen)
 			b = rec.bundle
 		}
 	}
@@ -168,6 +169,8 @@ func New(b *pipeline.Bundle, opt Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.reg.logf("serve: model %q from %s (dim=%d classes=%d sensors=%d)",
+		DefaultModel, from, b.Encoder.Dim, b.Model.Config().Classes, b.Encoder.Sensors)
 	s.reg.mu.Lock()
 	s.reg.models[DefaultModel] = def
 	s.reg.def.Store(def)
@@ -814,8 +817,8 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, r *http.Request) {
 // uniform envelope — unless a response was already committed (then the
 // error, typically a failed body write to a gone client, is only counted).
 //
-// errenvelope analyzer (cmd/smorevet) flags envelope literals and bare
-// error statuses everywhere else.
+// The errenvelope analyzer (internal/lint/errenvelope) flags envelope
+// literals and bare error statuses everywhere else.
 //
 //smore:envelope-helper — the single function that renders error bodies; the
 func (s *Server) finish(w *responseRecorder, endpoint string, start time.Time, err error) {

@@ -184,7 +184,7 @@ func TestStreamAdaptStrategySelection(t *testing.T) {
 	if got := art.Model.Snapshot().Strategy().String(); got != "margin+constant+ema" {
 		t.Fatalf("model strategy after streamed fold %q, want margin+constant+ema", got)
 	}
-	if !art.Model.Adapted() {
+	if !art.Model.Snapshot().Adapted() {
 		t.Fatal("streamed windows did not fold into an adapted model")
 	}
 	// A bad spec is rejected before anything is enqueued.
