@@ -35,8 +35,9 @@
 // (503 deadline_exceeded past it), -max-in-flight caps concurrently admitted
 // model-route requests (429 overloaded past it), and -breaker-threshold opens
 // a per-model circuit after that many consecutive stream-fold failures (503
-// adapter_open until -breaker-cooldown elapses, then one probe batch). Every
-// 429/503 carries a Retry-After header.
+// adapter_open until -breaker-cooldown has passed; then the first batch
+// admitted is the probe whose fold closes or reopens it). Every 429/503
+// carries a Retry-After header.
 //
 // Fault injection (testing only): -fault (or SMORE_FAULT) arms deterministic
 // seeded failure injectors by name, e.g.
@@ -154,7 +155,7 @@ func main() {
 		reqTimeout   = flag.Duration("request-timeout", 0, "per-request handler deadline; past it the request fails 503 deadline_exceeded (0 disables)")
 		maxInFlight  = flag.Int("max-in-flight", 0, "concurrently admitted model-route requests; past the cap requests fail 429 overloaded (0 disables)")
 		brThreshold  = flag.Int("breaker-threshold", 0, "consecutive stream-fold failures that open a model's circuit → 503 adapter_open (0 disables)")
-		brCooldown   = flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit duration before the half-open probe batch")
+		brCooldown   = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open circuit rejects stream/adapt; the first batch admitted after it is the probe")
 		faultSpec    = flag.String("fault", os.Getenv("SMORE_FAULT"), "deterministic fault-injection spec, e.g. \"persist.torn:times=1,stream.fold.err:p=0.1\" (testing only; also SMORE_FAULT)")
 		faultSeed    = flag.Uint64("fault-seed", envUint64("SMORE_FAULT_SEED", 1), "seed for the fault injectors' deterministic randomness (also SMORE_FAULT_SEED)")
 	)

@@ -113,22 +113,16 @@ func (p *point) frac() float64 {
 }
 
 // registry is an immutable armed-point set, swapped wholesale by Enable so
-// readers never lock.
+// readers never lock. reg is nil while injection is disabled.
 type registry struct {
 	points map[string]*point
 	spec   string
 }
 
-var (
-	armed atomic.Bool
-	reg   atomic.Pointer[registry]
-)
+var reg atomic.Pointer[registry]
 
 // Spec returns the normalized spec of the armed points, "" when disabled.
 func Spec() string {
-	if !armed.Load() {
-		return ""
-	}
 	if r := reg.Load(); r != nil {
 		return r.spec
 	}
@@ -136,10 +130,7 @@ func Spec() string {
 }
 
 // Disable disarms every point.
-func Disable() {
-	armed.Store(false)
-	reg.Store(nil)
-}
+func Disable() { reg.Store(nil) }
 
 // Enable parses spec and arms exactly the points it names, seeding each
 // point's draw stream from seed and the point name. An empty spec disables
@@ -205,12 +196,11 @@ func Enable(spec string, seed uint64) error {
 	}
 	sort.Strings(names)
 	reg.Store(&registry{points: points, spec: strings.Join(names, ",")})
-	armed.Store(true)
 	return nil
 }
 
 // lookup resolves an armed point; nil when injection is off or the point is
-// not armed. Callers must have checked armed first for the fast path.
+// not armed. The disabled path is one atomic load.
 func lookup(name string) *point {
 	r := reg.Load()
 	if r == nil {
@@ -227,11 +217,8 @@ func lookup(name string) *point {
 }
 
 // Maybe returns an injected error when the named point is armed and fires,
-// nil otherwise. The disabled path is one atomic load.
+// nil otherwise.
 func Maybe(name string) error {
-	if !armed.Load() {
-		return nil
-	}
 	p := lookup(name)
 	if p == nil || !p.fire() {
 		return nil
@@ -241,9 +228,6 @@ func Maybe(name string) error {
 
 // Sleep stalls for the point's configured delay when it is armed and fires.
 func Sleep(name string) {
-	if !armed.Load() {
-		return
-	}
 	p := lookup(name)
 	if p == nil || p.delay <= 0 || !p.fire() {
 		return
@@ -256,9 +240,6 @@ func Sleep(name string) {
 // every Write reports success — modeling a write the kernel acknowledged but
 // never fully persisted. When the point does not fire, w is returned as-is.
 func Writer(name string, w io.Writer) io.Writer {
-	if !armed.Load() {
-		return w
-	}
 	p := lookup(name)
 	if p == nil || !p.fire() {
 		return w

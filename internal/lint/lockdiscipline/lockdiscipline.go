@@ -9,8 +9,9 @@
 // them is held, calls into encoding/json, net/http, the os package (file
 // I/O — Create/Rename/fsync and every other syscall-latency operation; the
 // PR 10 checkpoint-persist-off-lock rule), encode.Encoder encode entry
-// points, or stream.Adapter fold entry points (Drain/Close) are flagged. The walker is flow-sensitive over if/else branches (an unlock on
-// an early-return branch is honored), treats `defer mu.Unlock()` as keeping
+// points, or the stream.Adapter fold entry point (Close) are flagged. The
+// walker is flow-sensitive over if/else branches (an unlock on an
+// early-return branch is honored), treats `defer mu.Unlock()` as keeping
 // the lock held for banned-call purposes while satisfying the leak check,
 // and skips `go` statements and non-invoked function literals, which run
 // outside the current critical section.
@@ -53,7 +54,7 @@ var bannedEncoderMethods = map[string]bool{
 
 // bannedAdapterMethods are stream.Adapter fold entry points that block on
 // the background fold loop (the PR 6 drain-under-lock rule).
-var bannedAdapterMethods = map[string]bool{"Drain": true, "Close": true}
+var bannedAdapterMethods = map[string]bool{"Close": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	sup := lintutil.NewSuppressor(pass.Fset, pass.Files)

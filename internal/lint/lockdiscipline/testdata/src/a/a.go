@@ -28,9 +28,9 @@ func badMarshalUnderLock(m *Ensemble, enc *encode.Encoder) error {
 	return enc.Encode(nil)   // want `encode entry point \(\*encode\.Encoder\)\.Encode while Ensemble\.mu is held`
 }
 
-func badDrainUnderLock(g *registry, a *stream.Adapter) {
+func badCloseUnderLock(g *registry, a *stream.Adapter) {
 	g.mu.Lock()
-	_ = a.Drain() // want `stream fold entry point \(\*stream\.Adapter\)\.Drain while registry\.mu is held`
+	_ = a.Close() // want `stream fold entry point \(\*stream\.Adapter\)\.Close while registry\.mu is held`
 	g.mu.Unlock()
 }
 

@@ -1,6 +1,6 @@
 // Package stream is a fixture stand-in for the repo's internal/stream: the
-// lockdiscipline analyzer matches Adapter fold entry points by package and
-// type name.
+// lockdiscipline analyzer matches the Adapter fold entry point by package
+// and type name.
 package stream
 
 import "sync"
@@ -9,5 +9,4 @@ type Adapter struct {
 	mu sync.Mutex
 }
 
-func (a *Adapter) Drain() error { return nil }
 func (a *Adapter) Close() error { return nil }

@@ -65,7 +65,7 @@ func TestScoreIntoErrors(t *testing.T) {
 		t.Error("ScoreInto with a mismatched query dimension did not error")
 	}
 	scores := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
-	if err := s.ScoreInto(trained.domains[0].classProt[0], scores); err != nil {
+	if err := s.ScoreInto(trained.domains[0].protMat.Row(0), scores); err != nil {
 		t.Fatal(err)
 	}
 	for c, s := range scores {

@@ -108,10 +108,9 @@ type domainModel struct {
 	// contiguous allocation, rebuilt in place by rebuildPrototypes, so
 	// scores streams a single cache-friendly popcount pass over all
 	// classes instead of chasing per-class heap slices.
-	protMat   *hdc.Matrix
-	classProt []hdc.Vector // row views into protMat, shared storage
-	domAcc    *hdc.Accumulator
-	domProt   hdc.Vector
+	protMat *hdc.Matrix
+	domAcc  *hdc.Accumulator
+	domProt hdc.Vector
 }
 
 func newDomainModel(id int, cfg Config) *domainModel {
@@ -134,10 +133,6 @@ func (dm *domainModel) rebuildPrototypes() {
 	if dm.protMat == nil {
 		dim := dm.domAcc.Dim()
 		dm.protMat = hdc.NewMatrix(len(dm.classAcc), dim)
-		dm.classProt = make([]hdc.Vector, len(dm.classAcc))
-		for c := range dm.classProt {
-			dm.classProt[c] = dm.protMat.Row(c)
-		}
 		dm.domProt = hdc.New(dim)
 	}
 	for c, acc := range dm.classAcc {

@@ -82,7 +82,7 @@ func (a *Artifacts) replay(cfg stream.Config, windows [][][]float64, afterFold f
 			return stats, afterFold()
 		},
 	)
-	if _, err := ad.Enqueue(windows); err != nil {
+	if _, err := ad.Enqueue(windows, nil); err != nil {
 		return stream.Stats{}, fmt.Errorf("pipeline: enqueueing stream: %w", err)
 	}
 	ad.Start()

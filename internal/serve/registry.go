@@ -27,9 +27,9 @@ const DefaultModel = "default"
 // registryDrainTimeout bounds how long a replaced or evicted instance's
 // streaming adapter may spend folding its remaining queue before it is
 // abandoned. Eviction must not hang the upload that triggered it, and a
-// wedged fold must not hang shutdown: instance.close applies the same bound
-// when the caller's context carries no deadline of its own. A var (not a
-// const) so drain-robustness tests can shrink the budget.
+// wedged fold must not hang shutdown: instance.close applies the bound
+// whenever the caller's context carries no deadline of its own. A var (not
+// a const) so drain-robustness tests can shrink the budget.
 var registryDrainTimeout = 5 * time.Second
 
 // modelName validates registry names: one leading alphanumeric, then up to
@@ -47,10 +47,6 @@ type instance struct {
 	encfg  encode.Config
 	model  *model.Ensemble
 	stream *stream.Adapter
-
-	// breaker is the stream-fold circuit breaker (inert unless
-	// Options.BreakerThreshold is set).
-	breaker *breaker
 
 	// rollbacks counts successful POST .../stream/rollback restores.
 	rollbacks atomic.Int64
@@ -180,21 +176,17 @@ func (g *registry) newInstance(name string, b *pipeline.Bundle) (*instance, erro
 	if err != nil {
 		return nil, fmt.Errorf("serve: rebuilding encoder: %w", err)
 	}
-	inst := &instance{
-		name:    name,
-		enc:     enc,
-		encfg:   b.Encoder,
-		model:   b.Model,
-		breaker: &breaker{threshold: g.opt.BreakerThreshold, cooldown: g.opt.BreakerCooldown},
-	}
+	inst := &instance{name: name, enc: enc, encfg: b.Encoder, model: b.Model}
 	inst.stream = stream.New(
 		stream.Config{
 			QueueCap: g.opt.StreamQueue, MaxBatch: g.opt.StreamBatch,
+			BreakerThreshold: g.opt.BreakerThreshold, BreakerCooldown: g.opt.BreakerCooldown,
 			Policy: g.opt.DriftPolicy, MaxTargets: g.opt.MaxTargets,
-			// The adapter calls Sim, Spawn and the fold from its worker
-			// goroutine with no adapter lock held; the model serializes them
-			// on its own mutex.
-			Sim: inst.model.BatchSimilarity,
+			// The adapter calls SetStrategy, Sim, Spawn and the fold from its
+			// worker goroutine with no adapter lock held; the model serializes
+			// them on its own mutex.
+			SetStrategy: inst.model.SetStrategy,
+			Sim:         inst.model.BatchSimilarity,
 			Spawn: func(maxTargets int, retire bool) (string, string, error) {
 				spawned, retired, err := inst.model.SpawnTarget("", maxTargets, retire)
 				if err == nil {
@@ -213,16 +205,14 @@ func (g *registry) newInstance(name string, b *pipeline.Bundle) (*instance, erro
 		func(hvs []hdc.Vector) (model.AdaptStats, error) {
 			defer g.met.stage("fold")()
 			// Chaos hooks: a slow fold models a wedged worker (the drain
-			// budget must still hold), a fold error feeds the circuit
-			// breaker. Both fire before the fold takes the model's lock, so
+			// budget must still hold), a fold error feeds the adapter's
+			// circuit. Both fire before the fold takes the model's lock, so
 			// an injected stall never blocks export or adapt traffic.
 			fault.Sleep("stream.fold.slow")
 			if err := fault.Maybe("stream.fold.err"); err != nil {
-				inst.breaker.record(false)
 				return model.AdaptStats{}, err
 			}
 			stats, err := inst.model.AdaptIncremental(hvs, g.opt.Workers)
-			inst.breaker.record(err == nil)
 			if err == nil && g.store != nil {
 				g.store.afterFold(inst)
 			}
@@ -385,16 +375,14 @@ func (g *registry) restore(rec recoveredModel) error {
 
 // retire drains and stops instances that just left the registry (replaced,
 // evicted, or deleted). Callers run it on its own goroutine so the
-// triggering request never waits on the drain, which is bounded by
-// registryDrainTimeout per instance so an abandoned stuffed queue cannot
+// triggering request never waits on the drain, which instance.close bounds
+// by registryDrainTimeout per instance so an abandoned stuffed queue cannot
 // pin its model forever.
 func (g *registry) retire(insts []*instance) {
 	for _, inst := range insts {
-		ctx, cancel := context.WithTimeout(context.Background(), registryDrainTimeout)
-		if err := inst.close(ctx); err != nil {
+		if err := inst.close(context.Background()); err != nil {
 			g.logf("serve: draining retired model %q: %v", inst.name, err)
 		}
-		cancel()
 	}
 }
 
@@ -433,7 +421,7 @@ func (g *registry) infos() []modelInfo {
 	for _, inst := range insts {
 		snap := inst.model.Snapshot()
 		cfg := snap.Config()
-		brState, brOpens := inst.breaker.snapshot()
+		st := inst.stream.Stats()
 		out = append(out, modelInfo{
 			Name:               inst.name,
 			Adapted:            snap.Adapted(),
@@ -443,9 +431,9 @@ func (g *registry) infos() []modelInfo {
 			Strategy:           snap.Strategy().String(),
 			Targets:            snap.Targets(),
 			Rollback:           inst.rollbacks.Load(),
-			Stream:             inst.stream.Stats(),
-			Breaker:            brState,
-			BreakerOpens:       brOpens,
+			Stream:             st,
+			Breaker:            st.Circuit,
+			BreakerOpens:       st.CircuitOpens,
 			CheckpointGen:      inst.ckptGen.Load(),
 			Checkpoints:        inst.ckptSaves.Load(),
 			CheckpointFailures: inst.ckptFailures.Load(),

@@ -17,6 +17,7 @@ import (
 
 	"go-arxiv/smore/internal/fault"
 	"go-arxiv/smore/internal/model"
+	"go-arxiv/smore/internal/stream"
 )
 
 // enableFault arms a fault spec for one test and guarantees it is disarmed
@@ -311,6 +312,79 @@ func TestBreakerOpensProbesAndCloses(t *testing.T) {
 		t.Fatalf("post-close enqueue: status %d", resp.StatusCode)
 	}
 	waitStreamDrained(t, ts.URL, 2)
+}
+
+// waitBreaker polls the registry listing until the default model's breaker
+// reads state with folded windows folded, and returns that entry.
+func waitBreaker(t *testing.T, url, state string, folded int64) modelInfo {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		info := decodeBody[map[string][]modelInfo](t, mustGet(t, url+"/v1/models"))["models"][0]
+		if info.Breaker == state && info.Stream.WindowsFolded == folded {
+			return info
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker never read %q with %d windows folded: %+v", state, folded, info)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// tripBreaker serves a threshold-2, 100ms-cooldown circuit with spec armed,
+// streams two windows whose folds spec must fail, waits for the circuit to
+// open, and lets its cooldown pass.
+func tripBreaker(t *testing.T, spec string) (*httptest.Server, [][][]float64) {
+	t.Helper()
+	_, ts, _, windows := testServerOpts(t, Options{
+		Workers: 2, MaxBatch: 64, StreamQueue: 4, StreamBatch: 1,
+		BreakerThreshold: 2, BreakerCooldown: 100 * time.Millisecond,
+	})
+	enableFault(t, spec, 7)
+	for i := range 2 {
+		postStatus(t, ts.URL+"/v1/stream/adapt", "application/json",
+			mustJSON(t, predictRequest{Windows: windows[i : i+1]}), http.StatusAccepted)
+	}
+	waitBreaker(t, ts.URL, "open", 0)
+	time.Sleep(120 * time.Millisecond)
+	return ts, windows
+}
+
+// TestRejectedProbeKeepsCircuitUsable pins that only a queued batch can be
+// the half-open probe: a request rejected for its size after the cooldown
+// must leave the probe to the next request, whose fold closes the circuit.
+func TestRejectedProbeKeepsCircuitUsable(t *testing.T) {
+	ts, windows := tripBreaker(t, "stream.fold.err:times=2")
+	wantError(t, postJSON(t, ts.URL+"/v1/stream/adapt", predictRequest{Windows: windows[:5]}),
+		http.StatusRequestEntityTooLarge, codeBatchTooLarge)
+	postStatus(t, ts.URL+"/v1/stream/adapt", "application/json",
+		mustJSON(t, predictRequest{Windows: windows[2:3]}), http.StatusAccepted)
+	if info := waitBreaker(t, ts.URL, "closed", 1); info.BreakerOpens != 1 {
+		t.Fatalf("breaker opens = %d, want 1", info.BreakerOpens)
+	}
+}
+
+// TestProbeEncodeFailureKeepsCircuitUsable pins that a probe whose encode
+// fails, so that no fold ever reports for it, leaves the probe to the next
+// request instead of holding the circuit half-open for good.
+func TestProbeEncodeFailureKeepsCircuitUsable(t *testing.T) {
+	ts, windows := tripBreaker(t, "stream.fold.err:times=2,stream.encode.err:after=2:times=1")
+	postStatus(t, ts.URL+"/v1/stream/adapt", "application/json",
+		mustJSON(t, predictRequest{Windows: windows[2:3]}), http.StatusAccepted)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := decodeBody[stream.Stats](t, mustGet(t, ts.URL+"/v1/stream/stats"))
+		if st.EncodeErrors == 1 && st.Drained() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the probe's encode never failed: %+v", st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	postStatus(t, ts.URL+"/v1/stream/adapt", "application/json",
+		mustJSON(t, predictRequest{Windows: windows[3:4]}), http.StatusAccepted)
+	waitBreaker(t, ts.URL, "closed", 1)
 }
 
 func mustGet(t *testing.T, url string) *http.Response {

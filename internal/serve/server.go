@@ -92,10 +92,11 @@ type Options struct {
 
 	// BreakerThreshold opens a model's stream-fold circuit after that many
 	// consecutive fold failures: stream/adapt answers 503 adapter_open until
-	// BreakerCooldown elapses, then one probe batch decides. <= 0 disables.
+	// BreakerCooldown has passed, and the first batch queued after it is the
+	// probe whose fold closes or reopens the circuit. <= 0 disables.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects before the
-	// half-open probe; <= 0 means 5s.
+	// BreakerCooldown is how long an open circuit rejects before it admits
+	// the probe; <= 0 means 5s.
 	BreakerCooldown time.Duration
 
 	// Logf, when set, receives registry lifecycle events (uploads, swaps,
@@ -113,14 +114,8 @@ func (o Options) withDefaults() Options {
 	if o.StreamQueue <= 0 {
 		o.StreamQueue = 4096
 	}
-	if o.StreamBatch <= 0 {
-		o.StreamBatch = 256
-	}
 	if o.MaxModels <= 0 {
 		o.MaxModels = 8
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
 	}
 	return o
 }
@@ -594,11 +589,13 @@ func (inst *instance) validateWindows(ws [][][]float64) error {
 	return nil
 }
 
-// streamAdapt enqueues the request's windows on the instance's streaming
-// adaptation queue and returns immediately: 202 with the queue depth on
-// success, 413 for a batch that could never fit, 429 when the queue is
-// currently too full to hold the whole batch (backpressure — nothing is
-// partially enqueued), 503 once shutdown has begun.
+// streamAdapt hands the request's windows, with the strategy they fold
+// under, to the instance's streaming adapter and returns immediately: 202
+// with the queue depth on success. The adapter admits or rejects the whole
+// batch, and a rejected request changes nothing: 503 adapter_open while the
+// fold circuit is open, 413 for a batch the queue could never hold, 503
+// once shutdown has begun, 429 when the queue is currently too full
+// (backpressure — nothing is partially enqueued).
 func (s *Server) streamAdapt(inst *instance, w *responseRecorder, r *http.Request) error {
 	// The queue keeps the decoded windows until the worker encodes them, so
 	// they live in a scratch of their own that never goes back to the pool
@@ -614,30 +611,17 @@ func (s *Server) streamAdapt(inst *instance, w *responseRecorder, r *http.Reques
 	if err := inst.validateWindows(req.Windows); err != nil {
 		return err
 	}
-	// A tripped circuit rejects before the queue: every admitted batch on a
-	// poisoned stream is paid for (encoded, locked, folded) only to be
-	// discarded, so backpressure here is cheaper for everyone.
-	if ok, wait := inst.breaker.allow(); !ok {
+	depth, err := inst.stream.Enqueue(req.Windows, strat)
+	var open *stream.CircuitOpenError
+	switch {
+	case errors.As(err, &open):
 		return withRetryAfter(&httpError{http.StatusServiceUnavailable, codeAdapterOpen,
-			"stream adapter circuit open after repeated fold failures; retry later"}, wait)
-	}
-	// A batch larger than the whole queue can never succeed, so a 429
-	// ("retry later") would send a well-behaved client into an infinite
-	// retry loop; reject it terminally instead.
-	if len(req.Windows) > s.opt.StreamQueue {
+			"stream adapter circuit open after repeated fold failures; retry later"}, open.RetryAfter)
+	case errors.Is(err, stream.ErrTooLarge):
+		// Terminal, not 429: a retry-later would send a well-behaved client
+		// into an endless loop.
 		return &httpError{http.StatusRequestEntityTooLarge, codeBatchTooLarge,
 			fmt.Sprintf("batch of %d windows exceeds stream queue capacity %d", len(req.Windows), s.opt.StreamQueue)}
-	}
-	// The background worker folds coalesced batches under the model's
-	// current strategy, so a request's strategy takes effect for its own
-	// windows and everything folded after them — until another request
-	// selects a different one. Installing it publishes a model change
-	// (durable on the next checkpoint) before the windows can be folded.
-	if strat != nil {
-		inst.model.SetStrategy(*strat)
-	}
-	depth, err := inst.stream.Enqueue(req.Windows)
-	switch {
 	case errors.Is(err, stream.ErrQueueFull):
 		return &httpError{http.StatusTooManyRequests, codeQueueFull,
 			fmt.Sprintf("stream queue full (%d of %d windows queued); retry later", depth, s.opt.StreamQueue)}

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"go-arxiv/smore/internal/model"
 	"go-arxiv/smore/internal/pipeline"
@@ -190,6 +193,87 @@ func TestStreamAdaptStrategySelection(t *testing.T) {
 	// A bad spec is rejected before anything is enqueued.
 	wantError(t, postJSON(t, ts.URL+"/v1/stream/adapt", predictRequest{Windows: windows[:2], Strategy: "nope"}),
 		http.StatusBadRequest, codeUnknownStrategy)
+}
+
+// countingRule is the margin confidence rule counting the samples it
+// scores, so a test can tell which windows folded under it.
+type countingRule struct{ scored atomic.Int64 }
+
+func (r *countingRule) Name() string { return "margin" }
+
+func (r *countingRule) Assess(scores []float64) (int, float64, float64) {
+	r.scored.Add(1)
+	return model.MarginConfidence{}.Assess(scores)
+}
+
+// waitInFlight waits until the default model's stream worker holds n
+// windows.
+func waitInFlight(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.StreamStats().InFlight != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker never took %d windows: %+v", n, srv.StreamStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRejectedStreamRequestChangesNothing pins that a stream request the
+// adapter rejects leaves the model alone, the strategy it selected
+// included: neither a 429 nor a 503 moves the snapshot version.
+func TestRejectedStreamRequestChangesNothing(t *testing.T) {
+	srv, ts, art, windows := testServerOpts(t, Options{Workers: 2, MaxBatch: 64, StreamQueue: 2, StreamBatch: 1})
+	enableFault(t, "stream.fold.slow:delay=1s:times=1", 1)
+	postStatus(t, ts.URL+"/v1/stream/adapt", "application/json",
+		mustJSON(t, predictRequest{Windows: windows[:1]}), http.StatusAccepted)
+	waitInFlight(t, srv, 1)
+	postStatus(t, ts.URL+"/v1/stream/adapt", "application/json",
+		mustJSON(t, predictRequest{Windows: windows[1:3]}), http.StatusAccepted)
+
+	req := predictRequest{Windows: windows[3:4], Strategy: "entropy-cal+constant+ema"}
+	unchanged := func(status int, code string) {
+		t.Helper()
+		before := art.Model.Snapshot()
+		wantError(t, postJSON(t, ts.URL+"/v1/stream/adapt", req), status, code)
+		after := art.Model.Snapshot()
+		if after.Version() != before.Version() || after.Strategy().String() != before.Strategy().String() {
+			t.Fatalf("a %d %s moved the model from version %d (%s) to %d (%s)", status, code,
+				before.Version(), before.Strategy(), after.Version(), after.Strategy())
+		}
+	}
+	unchanged(http.StatusTooManyRequests, codeQueueFull)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	unchanged(http.StatusServiceUnavailable, codeDraining)
+}
+
+// TestQueuedWindowsKeepTheirStrategy pins that a request's strategy rides
+// with its windows: windows queued before it fold under the strategy they
+// were queued under, and the request's own strategy is installed when the
+// worker reaches its windows.
+func TestQueuedWindowsKeepTheirStrategy(t *testing.T) {
+	srv, ts, art, windows := testServer(t)
+	rule := &countingRule{}
+	art.Model.SetStrategy(model.Strategy{Confidence: rule})
+	enableFault(t, "stream.fold.slow:delay=1s:times=1", 1)
+	postStatus(t, ts.URL+"/v1/stream/adapt", "application/json",
+		mustJSON(t, predictRequest{Windows: windows[:2]}), http.StatusAccepted)
+	waitInFlight(t, srv, 2)
+	postStatus(t, ts.URL+"/v1/stream/adapt", "application/json",
+		mustJSON(t, predictRequest{Windows: windows[2:6]}), http.StatusAccepted)
+	postStatus(t, ts.URL+"/v1/stream/adapt", "application/json",
+		mustJSON(t, predictRequest{Windows: windows[6:10], Strategy: "entropy-cal+constant+ema"}), http.StatusAccepted)
+	waitStreamDrained(t, ts.URL, 10)
+	if n := rule.scored.Load(); n < 6 {
+		t.Fatalf("the installed rule scored %d samples, want at least the 6 windows queued before the new strategy", n)
+	}
+	if got := art.Model.Snapshot().Strategy().String(); got != "entropy-cal+constant+ema" {
+		t.Fatalf("final strategy %q, want entropy-cal+constant+ema", got)
+	}
 }
 
 // TestUploadStrategyRoundTrip pins that a non-default strategy survives the

@@ -38,7 +38,7 @@ func BenchmarkAdapterSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := a.Enqueue(windows); err != nil {
+		if _, err := a.Enqueue(windows, nil); err != nil {
 			b.Fatal(err)
 		}
 		if !a.runOnce(false) {

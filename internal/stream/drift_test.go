@@ -145,7 +145,7 @@ func TestWorkerSpawnsOnDrift(t *testing.T) {
 		Sim: dm.sim, Spawn: dm.spawn,
 	}, passthroughEncode, dm.fold)
 	for i := range 7 {
-		if _, err := a.Enqueue([][][]float64{fakeWindow(i + 1)}); err != nil {
+		if _, err := a.Enqueue([][][]float64{fakeWindow(i + 1)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestWorkerRetiresPastMaxTargets(t *testing.T) {
 		Sim: dm.sim, Spawn: dm.spawn,
 	}, passthroughEncode, dm.fold)
 	for i := range 10 {
-		if _, err := a.Enqueue([][][]float64{fakeWindow(i + 1)}); err != nil {
+		if _, err := a.Enqueue([][][]float64{fakeWindow(i + 1)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +222,7 @@ func TestNonePolicyTracksButNeverSpawns(t *testing.T) {
 	dm := &driftModel{sims: []float64{0.6, 0.6, 0.1, 0.1, 0.1}}
 	a := New(Config{MaxBatch: 1, Sim: dm.sim, Spawn: dm.spawn}, passthroughEncode, dm.fold)
 	for i := range 6 {
-		if _, err := a.Enqueue([][][]float64{fakeWindow(i + 1)}); err != nil {
+		if _, err := a.Enqueue([][][]float64{fakeWindow(i + 1)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestResetDriftClearsTrajectoryKeepsHistory(t *testing.T) {
 		MaxBatch: 1, Policy: DriftPolicy{Spawn: true}, Sim: dm.sim, Spawn: dm.spawn,
 	}, passthroughEncode, dm.fold)
 	for i := range 6 {
-		if _, err := a.Enqueue([][][]float64{fakeWindow(i + 1)}); err != nil {
+		if _, err := a.Enqueue([][][]float64{fakeWindow(i + 1)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,11 +7,13 @@
 // the serving write lock). Prediction traffic therefore only ever contends
 // with the short fold step, never with encoding.
 //
-// Enqueue is all-or-nothing and never blocks: when the queue cannot hold the
-// whole batch it returns ErrQueueFull, which the serving layer surfaces as
-// HTTP 429 backpressure. Batches fold strictly in enqueue order, and both
-// encode and fold are deterministic, so a fixed arrival order always yields
-// the same adapted model.
+// Enqueue is the one admission point. It is all-or-nothing and never
+// blocks: a batch the fold circuit, the queue's size, shutdown or the
+// queue's free space rejects changes nothing (ErrQueueFull is the serving
+// layer's HTTP 429 backpressure). A batch may carry an adaptation strategy,
+// which the worker installs when it reaches the batch. Batches fold
+// strictly in enqueue order, and both encode and fold are deterministic, so
+// a fixed arrival order always yields the same adapted model.
 package stream
 
 import (
@@ -19,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"go-arxiv/smore/internal/hdc"
 	"go-arxiv/smore/internal/model"
@@ -31,6 +34,26 @@ var ErrQueueFull = errors.New("stream: queue full")
 // ErrClosed is returned by Enqueue after Close has begun shutting the
 // adapter down.
 var ErrClosed = errors.New("stream: adapter closed")
+
+// ErrTooLarge is returned by Enqueue for a batch of more windows than the
+// queue can ever hold; nothing is enqueued, and a retry cannot succeed.
+var ErrTooLarge = errors.New("stream: batch larger than the queue")
+
+// ErrCircuitOpen is wrapped by the CircuitOpenError Enqueue returns while
+// the fold circuit rejects batches.
+var ErrCircuitOpen = errors.New("stream: circuit open")
+
+// CircuitOpenError is Enqueue's rejection after repeated fold failures:
+// the circuit is open, or its probe batch is outstanding.
+type CircuitOpenError struct {
+	RetryAfter time.Duration // how long until the circuit may admit a batch
+}
+
+func (e *CircuitOpenError) Error() string {
+	return fmt.Sprintf("%v after repeated fold failures; retry in %v", ErrCircuitOpen, e.RetryAfter)
+}
+
+func (e *CircuitOpenError) Unwrap() error { return ErrCircuitOpen }
 
 // EncodeFunc encodes raw windows into hypervectors. It runs on the worker
 // goroutine with no lock held, so it may use the full worker pool.
@@ -45,6 +68,18 @@ type FoldFunc func(hvs []hdc.Vector) (model.AdaptStats, error)
 type Config struct {
 	QueueCap int // maximum windows held in the queue; <= 0 means 4096
 	MaxBatch int // maximum windows folded per AdaptIncremental call; <= 0 means 256
+
+	// BreakerThreshold opens the fold circuit after that many consecutive
+	// fold failures; <= 0 never opens it. BreakerCooldown is how long an
+	// open circuit rejects before the next batch queued is its probe;
+	// <= 0 means 5s.
+	BreakerThreshold int
+	BreakerCooldown  time.Duration
+
+	// SetStrategy installs the strategy a batch was queued with, on the
+	// worker goroutine with no adapter lock held, before the batch is
+	// encoded. Nil ignores queued strategies.
+	SetStrategy func(model.Strategy)
 
 	// Policy decides when the worker opens a fresh target domain (the zero
 	// value never does). A spawning policy needs Sim to measure batches and
@@ -69,6 +104,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTargets <= 0 {
 		c.MaxTargets = DefaultMaxTargets
+	}
+	if c.BreakerCooldown <= 0 {
+		c.BreakerCooldown = 5 * time.Second
 	}
 	return c
 }
@@ -110,6 +148,12 @@ type Stats struct {
 	// TargetsSpawned / TargetsRetired count drift-policy transitions.
 	TargetsSpawned int64 `json:"targets_spawned_total"`
 	TargetsRetired int64 `json:"targets_retired_total"`
+
+	// Circuit is the fold circuit's state (closed | open | half_open) and
+	// CircuitOpens how many times it opened. The serving layer reports them
+	// as the model's breaker, outside the stream stats.
+	Circuit      string `json:"-"`
+	CircuitOpens int64  `json:"-"`
 }
 
 // Drained reports whether nothing is queued or being folded.
@@ -126,13 +170,13 @@ type Adapter struct {
 
 	mu       sync.Mutex
 	wake     *sync.Cond // signaled when work arrives or shutdown begins
-	idle     *sync.Cond // broadcast when a micro-batch finishes (Drain waiters)
-	queue    [][][]float64
+	queue    []entry
 	inFlight int
 	closed   bool
 	started  bool
 	stats    Stats
 	drift    driftState
+	circuit  circuit
 
 	// batchBuf is the coalescing buffer the worker reuses across
 	// micro-batches, so steady-state folding does not allocate a fresh
@@ -140,6 +184,13 @@ type Adapter struct {
 	batchBuf [][][]float64
 
 	done chan struct{} // closed when the worker exits
+}
+
+// entry is one queued window. strat, set on the first window of a batch
+// that carries a strategy, is installed before that window is encoded.
+type entry struct {
+	window [][]float64
+	strat  *model.Strategy
 }
 
 // New builds an adapter; the worker does not run until Start.
@@ -150,8 +201,8 @@ func New(cfg Config, encode EncodeFunc, fold FoldFunc) *Adapter {
 		fold:   fold,
 		done:   make(chan struct{}),
 	}
+	a.circuit = circuit{threshold: a.cfg.BreakerThreshold, cooldown: a.cfg.BreakerCooldown, state: circuitClosed}
 	a.wake = sync.NewCond(&a.mu)
-	a.idle = sync.NewCond(&a.mu)
 	return a
 }
 
@@ -167,16 +218,25 @@ func (a *Adapter) Start() {
 	go a.run()
 }
 
-// Enqueue appends windows to the queue, all-or-nothing: if the queue's free
-// space cannot hold every window, nothing is enqueued and ErrQueueFull is
-// returned (the drop is counted). It never blocks. The returned depth is the
-// queue depth immediately after the call.
-func (a *Adapter) Enqueue(windows [][][]float64) (depth int, err error) {
+// Enqueue queues windows with the strategy they fold under (nil keeps the
+// installed one), or rejects them all, in this order: *CircuitOpenError
+// while the fold circuit rejects, ErrTooLarge for more windows than the
+// queue can ever hold, ErrClosed once Close has begun, ErrQueueFull (a
+// counted drop) when they do not fit now. It never blocks. The returned
+// depth is the queue depth immediately after the call.
+func (a *Adapter) Enqueue(windows [][][]float64, strat *model.Strategy) (depth int, err error) {
 	if len(windows) == 0 {
 		return 0, fmt.Errorf("stream: empty batch")
 	}
+	now := time.Now()
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if wait := a.circuit.wait(now); wait > 0 {
+		return len(a.queue), &CircuitOpenError{RetryAfter: wait}
+	}
+	if len(windows) > a.cfg.QueueCap {
+		return len(a.queue), ErrTooLarge
+	}
 	if a.closed {
 		return len(a.queue), ErrClosed
 	}
@@ -184,7 +244,11 @@ func (a *Adapter) Enqueue(windows [][][]float64) (depth int, err error) {
 		a.stats.Dropped += int64(len(windows))
 		return len(a.queue), ErrQueueFull
 	}
-	a.queue = append(a.queue, windows...)
+	a.circuit.queued()
+	a.queue = append(a.queue, entry{window: windows[0], strat: strat})
+	for _, w := range windows[1:] {
+		a.queue = append(a.queue, entry{window: w})
+	}
 	a.stats.Enqueued += int64(len(windows))
 	a.wake.Signal()
 	return len(a.queue), nil
@@ -208,32 +272,9 @@ func (a *Adapter) snapshotLocked() Stats {
 	s.SimilarityEMA = a.drift.ema
 	s.SimilarityValid = a.drift.emaInit
 	s.FoldsOnTarget = a.drift.folds
+	s.Circuit = a.circuit.state
+	s.CircuitOpens = a.circuit.opens
 	return s
-}
-
-// Drain blocks until the queue is empty and no fold is in flight, or ctx
-// expires. It does not stop the worker or reject new traffic; use Close for
-// shutdown. The wait is a condition-variable sleep woken at the end of every
-// micro-batch, so Drain returns promptly after the final fold instead of
-// polling.
-func (a *Adapter) Drain(ctx context.Context) error {
-	// A sync.Cond cannot select on ctx, so ctx cancellation is bridged into
-	// a broadcast that re-checks the loop condition.
-	stop := context.AfterFunc(ctx, func() {
-		a.mu.Lock()
-		a.idle.Broadcast()
-		a.mu.Unlock()
-	})
-	defer stop()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for len(a.queue) != 0 || a.inFlight != 0 {
-		if ctx.Err() != nil {
-			return fmt.Errorf("stream: drain: %w", ctx.Err())
-		}
-		a.idle.Wait()
-	}
-	return nil
 }
 
 // Close stops accepting new windows, lets the worker drain everything
@@ -268,7 +309,6 @@ func (a *Adapter) Close(ctx context.Context) error {
 		a.queue = a.queue[:0]
 		a.stats.WindowsLost += int64(lost)
 		a.stats.LastError = fmt.Sprintf("close abandoned %d queued windows: %v", lost, ctx.Err())
-		a.idle.Broadcast()
 	}
 	a.mu.Unlock()
 	if lost > 0 {
@@ -326,10 +366,11 @@ func (a *Adapter) run() {
 }
 
 // runOnce processes one micro-batch: take up to MaxBatch windows off the
-// queue (blocking for work or shutdown when wait is true), encode them with
-// no lock held, fold them, and account the outcome. It reports whether the
-// worker should keep going — false means the queue is empty and, when
-// waiting, that shutdown has begun.
+// queue (blocking for work or shutdown when wait is true), ending before the
+// next window that carries a strategy, install the batch's strategy, encode
+// the windows with no lock held, fold them, and account the outcome. It
+// reports whether the worker should keep going — false means the queue is
+// empty and, when waiting, that shutdown has begun.
 func (a *Adapter) runOnce(wait bool) bool {
 	a.mu.Lock()
 	if wait {
@@ -341,19 +382,29 @@ func (a *Adapter) runOnce(wait bool) bool {
 		a.mu.Unlock()
 		return false // drained (and, when waiting, closed)
 	}
-	n := min(len(a.queue), a.cfg.MaxBatch)
-	batch := append(a.batchBuf[:0], a.queue[:n]...)
+	strat := a.queue[0].strat
+	batch := append(a.batchBuf[:0], a.queue[0].window)
+	for _, e := range a.queue[1:min(len(a.queue), a.cfg.MaxBatch)] {
+		if e.strat != nil {
+			break
+		}
+		batch = append(batch, e.window)
+	}
 	a.batchBuf = batch
+	n := len(batch)
 	// Shift rather than re-slice so the backing array's consumed prefix
 	// does not pin window data for the queue's lifetime.
 	rest := copy(a.queue, a.queue[n:])
-	for i := rest; i < len(a.queue); i++ {
-		a.queue[i] = nil
-	}
+	clear(a.queue[rest:])
 	a.queue = a.queue[:rest]
 	a.inFlight = n
 	a.mu.Unlock()
 
+	// Installing even when the encode or fold below fails publishes the
+	// strategy the request selected, in queue order.
+	if strat != nil && a.cfg.SetStrategy != nil {
+		a.cfg.SetStrategy(*strat)
+	}
 	var stats model.AdaptStats
 	hvs, encErr := a.encode(batch)
 	var foldErr error
@@ -365,17 +416,21 @@ func (a *Adapter) runOnce(wait bool) bool {
 	// data between micro-batches.
 	clear(batch)
 
+	now := time.Now()
 	a.mu.Lock()
 	switch {
 	case encErr != nil:
 		a.stats.EncodeErrors++
 		a.stats.WindowsLost += int64(n)
 		a.stats.LastError = encErr.Error()
+		a.circuit.encodeFailed()
 	case foldErr != nil:
 		a.stats.FoldErrors++
 		a.stats.WindowsLost += int64(n)
 		a.stats.LastError = foldErr.Error()
+		a.circuit.record(false, now)
 	default:
+		a.circuit.record(true, now)
 		a.stats.BatchesFolded++
 		a.stats.WindowsFolded += int64(n)
 		a.stats.Adapt.Accumulate(stats)
@@ -386,7 +441,6 @@ func (a *Adapter) runOnce(wait bool) bool {
 		a.stats.LastError = ""
 	}
 	a.inFlight = 0
-	a.idle.Broadcast()
 	a.mu.Unlock()
 	return true
 }

@@ -75,7 +75,7 @@ func TestCoalescesIntoMaxBatchChunks(t *testing.T) {
 	for i := range windows {
 		windows[i] = fakeWindow(i)
 	}
-	if _, err := a.Enqueue(windows); err != nil {
+	if _, err := a.Enqueue(windows, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Worker starts only now, so the batch boundaries are deterministic:
@@ -115,7 +115,7 @@ func TestEnqueueBackpressureIsAllOrNothing(t *testing.T) {
 	// where they block on the gate, so keep feeding until depth == cap).
 	deadline := time.After(5 * time.Second)
 	for {
-		depth, err := a.Enqueue([][][]float64{fakeWindow(1)})
+		depth, err := a.Enqueue([][][]float64{fakeWindow(1)}, nil)
 		if err != nil {
 			t.Fatalf("enqueue while filling: %v", err)
 		}
@@ -131,7 +131,7 @@ func TestEnqueueBackpressureIsAllOrNothing(t *testing.T) {
 
 	// A batch that does not fit must be rejected whole, immediately.
 	startReject := time.Now()
-	if _, err := a.Enqueue([][][]float64{fakeWindow(7), fakeWindow(8)}); !errors.Is(err, ErrQueueFull) {
+	if _, err := a.Enqueue([][][]float64{fakeWindow(7), fakeWindow(8)}, nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overfull enqueue error = %v, want ErrQueueFull", err)
 	}
 	if elapsed := time.Since(startReject); elapsed > time.Second {
@@ -162,32 +162,39 @@ func TestEnqueueBackpressureIsAllOrNothing(t *testing.T) {
 	if st.WindowsFolded != st.Enqueued {
 		t.Fatalf("folded %d of %d enqueued windows", st.WindowsFolded, st.Enqueued)
 	}
-	if _, err := a.Enqueue([][][]float64{fakeWindow(9)}); !errors.Is(err, ErrClosed) {
+	if _, err := a.Enqueue([][][]float64{fakeWindow(9)}, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("enqueue after close error = %v, want ErrClosed", err)
 	}
 }
 
-func TestDrainWaitsForInFlightFold(t *testing.T) {
-	f := &recordingFold{gate: make(chan struct{})}
-	a := New(Config{QueueCap: 8, MaxBatch: 8}, passthroughEncode, f.fold)
-	a.Start()
-	if _, err := a.Enqueue([][][]float64{fakeWindow(1), fakeWindow(2)}); err != nil {
+// TestEnqueueRejectionOrder pins which error a batch failing several of
+// Enqueue's checks gets: the circuit first, then the size, then shutdown,
+// then free space, which alone counts the batch as dropped.
+func TestEnqueueRejectionOrder(t *testing.T) {
+	a := New(Config{QueueCap: 2, BreakerThreshold: 1, BreakerCooldown: time.Hour}, passthroughEncode, (&recordingFold{}).fold)
+	if _, err := a.Enqueue([][][]float64{fakeWindow(1), fakeWindow(2)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := a.Drain(ctx); err == nil {
-		t.Fatal("drain returned while the fold was still gated")
+	a.closed = true
+	a.circuit.record(false, time.Now())
+	big := [][][]float64{fakeWindow(3), fakeWindow(4), fakeWindow(5)}
+	var open *CircuitOpenError
+	if _, err := a.Enqueue(big, nil); !errors.As(err, &open) || open.RetryAfter <= 0 {
+		t.Fatalf("open circuit, oversized, closed and full: error %v, want a CircuitOpenError with a retry hint", err)
 	}
-	close(f.gate)
-	if err := a.Drain(ctxShort(t)); err != nil {
-		t.Fatal(err)
+	a.circuit.record(true, time.Now())
+	if _, err := a.Enqueue(big, nil); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized, closed and full: error %v, want ErrTooLarge", err)
 	}
-	if got := f.batchSizes(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("fold batches %v, want [2]", got)
+	if _, err := a.Enqueue([][][]float64{fakeWindow(3)}, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed and full: error %v, want ErrClosed", err)
 	}
-	if err := a.Close(ctxShort(t)); err != nil {
-		t.Fatal(err)
+	a.closed = false
+	if _, err := a.Enqueue([][][]float64{fakeWindow(3)}, nil); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("full: error %v, want ErrQueueFull", err)
+	}
+	if st := a.Stats(); st.Enqueued != 2 || st.Dropped != 1 {
+		t.Fatalf("stats %+v: want 2 enqueued and only the queue-full window dropped", st)
 	}
 }
 
@@ -201,13 +208,13 @@ func TestEncodeAndFoldErrorsAreCountedNotFatal(t *testing.T) {
 	}
 	f := &recordingFold{err: fmt.Errorf("model: fold exploded"), faults: 1}
 	a := New(Config{QueueCap: 8, MaxBatch: 1}, flaky, f.fold)
-	if _, err := a.Enqueue([][][]float64{{{-1}}}); err != nil { // encode error
+	if _, err := a.Enqueue([][][]float64{{{-1}}}, nil); err != nil { // encode error
 		t.Fatal(err)
 	}
-	if _, err := a.Enqueue([][][]float64{fakeWindow(1)}); err != nil { // fold error
+	if _, err := a.Enqueue([][][]float64{fakeWindow(1)}, nil); err != nil { // fold error
 		t.Fatal(err)
 	}
-	if _, err := a.Enqueue([][][]float64{fakeWindow(2)}); err != nil { // succeeds
+	if _, err := a.Enqueue([][][]float64{fakeWindow(2)}, nil); err != nil { // succeeds
 		t.Fatal(err)
 	}
 	a.Start()
@@ -235,7 +242,7 @@ func TestEncodeAndFoldErrorsAreCountedNotFatal(t *testing.T) {
 func TestLastErrorClearsOnSuccessfulFold(t *testing.T) {
 	f := &recordingFold{err: fmt.Errorf("model: fold exploded"), faults: 1}
 	a := New(Config{QueueCap: 8, MaxBatch: 1}, passthroughEncode, f.fold)
-	if _, err := a.Enqueue([][][]float64{fakeWindow(1)}); err != nil { // fails
+	if _, err := a.Enqueue([][][]float64{fakeWindow(1)}, nil); err != nil { // fails
 		t.Fatal(err)
 	}
 	if !a.runOnce(false) {
@@ -244,7 +251,7 @@ func TestLastErrorClearsOnSuccessfulFold(t *testing.T) {
 	if st := a.Stats(); st.LastError == "" {
 		t.Fatal("LastError not recorded after the failed fold")
 	}
-	if _, err := a.Enqueue([][][]float64{fakeWindow(2)}); err != nil { // succeeds
+	if _, err := a.Enqueue([][][]float64{fakeWindow(2)}, nil); err != nil { // succeeds
 		t.Fatal(err)
 	}
 	a.runOnce(false)
@@ -257,48 +264,10 @@ func TestLastErrorClearsOnSuccessfulFold(t *testing.T) {
 	}
 }
 
-// TestDrainWakesPromptlyAfterFinalFold pins the condition-variable Drain: it
-// must return within a broadcast of the last fold completing, not after a
-// poll interval.
-func TestDrainWakesPromptlyAfterFinalFold(t *testing.T) {
-	f := &recordingFold{gate: make(chan struct{})}
-	a := New(Config{QueueCap: 8, MaxBatch: 8}, passthroughEncode, f.fold)
-	a.Start()
-	if _, err := a.Enqueue([][][]float64{fakeWindow(1), fakeWindow(2)}); err != nil {
-		t.Fatal(err)
-	}
-	drained := make(chan error, 1)
-	go func() { drained <- a.Drain(ctxShort(t)) }()
-	// Give Drain time to park on the condition variable, then release the
-	// gated fold and require the wake to land promptly.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case err := <-drained:
-		t.Fatalf("drain returned (%v) while the fold was still gated", err)
-	default:
-	}
-	close(f.gate)
-	woke := time.Now()
-	select {
-	case err := <-drained:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("drain never woke after the final fold")
-	}
-	if elapsed := time.Since(woke); elapsed > time.Second {
-		t.Fatalf("drain woke %v after the final fold: want a prompt broadcast", elapsed)
-	}
-	if err := a.Close(ctxShort(t)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloseWithoutStartDrainsQueue(t *testing.T) {
 	f := &recordingFold{}
 	a := New(Config{QueueCap: 8, MaxBatch: 8}, passthroughEncode, f.fold)
-	if _, err := a.Enqueue([][][]float64{fakeWindow(1)}); err != nil {
+	if _, err := a.Enqueue([][][]float64{fakeWindow(1)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Close(ctxShort(t)); err != nil {
@@ -319,7 +288,7 @@ func TestConcurrentEnqueueNeverExceedsCapacity(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := range 50 {
-				_, err := a.Enqueue([][][]float64{fakeWindow(p*50 + i)})
+				_, err := a.Enqueue([][][]float64{fakeWindow(p*50 + i)}, nil)
 				if err != nil && !errors.Is(err, ErrQueueFull) {
 					t.Errorf("enqueue: %v", err)
 					return
@@ -357,7 +326,7 @@ func TestCloseAbandonsQueueWhenFoldWedges(t *testing.T) {
 	for i := range windows {
 		windows[i] = fakeWindow(i)
 	}
-	if _, err := a.Enqueue(windows); err != nil {
+	if _, err := a.Enqueue(windows, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
